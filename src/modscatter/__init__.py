@@ -29,9 +29,11 @@ from .counting import (
     count_geodesics,
     main_term,
     odd_modulus_roots,
+    point_sums,
     roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
+    sums_at,
     total_members,
     total_roots,
 )

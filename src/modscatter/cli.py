@@ -5,8 +5,9 @@ scattering-fraction listings, counting functions against their growth laws,
 density histograms, geodesic traces, and equivalence witnesses.  Output is
 CSV (default) or JSON, to stdout or --out.
 
-Exit codes: 0 success, 2 invalid arguments, 3 precondition violation
-(e.g. --t0 at most 1), 4 resource cap exceeded.
+Exit codes: 0 success, 2 invalid arguments (including a NaN or infinite
+number), 3 precondition violation (e.g. --t0 at most 1, or an --out or
+--dump-samples file that cannot be written), 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith, counting, hyperbolic, lfunction, scatterset
+from .scatterset import _require_t0
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,6 +45,16 @@ def _fraction_arg(text: str) -> Fraction:
     if not 0 <= w < 1:
         raise argparse.ArgumentTypeError(f"fraction must lie in [0, 1), got {text!r}")
     return w
+
+
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
 
 
 def _positive_int(text: str) -> int:
@@ -74,10 +86,19 @@ def _emit(columns: list[str], rows: list[dict], args) -> None:
             writer.writerow([_cell(r[c]) for c in columns])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _open_output(path: str):
+    """Open an output file for writing; one that cannot be opened is a
+    precondition violation (exit 3)."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _check_cap(n: int, args, what: str) -> None:
@@ -131,11 +152,6 @@ def _cmd_g(args) -> None:
     _emit(["q", "p", "class", "sojourn"], _fraction_rows(ws, args.t0), args)
 
 
-def _require_t0(t0: float) -> None:
-    if t0 <= 1:
-        raise ValueError(f"--t0 must exceed 1, got {t0}")
-
-
 def _log_spaced(hi: float, points: int, lo: float = 10.0) -> list[int]:
     if points <= 1 or hi <= lo:
         return [int(math.floor(hi))]
@@ -151,16 +167,13 @@ def _cmd_count(args) -> None:
     if kind == "pi":
         if args.Y is None:
             raise ValueError("kind 'pi' needs --Y")
-        _require_t0(args.t0)
         if args.points <= 1:
             ys = [args.Y]
         else:
             lo = min(4.0 * args.t0 * args.t0, args.Y)
             ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
-        for k in thresholds.values():
-            _check_cap(k, args, "sieve index")
-        sums = counting.checkpoint_sums(thresholds.values())
+        sums = _sums_at(thresholds.values(), args)
         rows = [
             _report_row(kind, y, sums[thresholds[y]][2], args.t0) for y in ys
         ]
@@ -168,15 +181,20 @@ def _cmd_count(args) -> None:
         if args.x is None:
             raise ValueError(f"kind {kind!r} needs --x")
         xs = _log_spaced(args.x, args.points)
-        for x in xs:
-            _check_cap(x, args, "sieve index")
-        sums = counting.checkpoint_sums(xs)
+        sums = _sums_at(xs, args)
         rows = []
         for x in xs:
             total, odd, members = sums[x]
             exact = {"S": total, "tau": odd, "psi": members}[kind]
             rows.append(_report_row(kind, float(x), exact, args.t0))
     _emit(["x", "exact", "predicted", "ratio", "abs_error"], rows, args)
+
+
+def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
+    pts = set(points)
+    for x in pts:
+        _check_cap(x, args, "evaluation point")
+    return counting.sums_at(pts)
 
 
 def _report_row(kind: str, x: float, exact: int, t0: float) -> dict:
@@ -215,14 +233,13 @@ def _cmd_histogram(args) -> None:
 
 
 def _cmd_trace(args) -> None:
-    _require_t0(args.t0)
     trace = hyperbolic.trace_sojourn(
         args.w, args.t0, step=args.step, tail_factor=args.tail_factor
     )
     measured = trace.measured_sojourn
     predicted = trace.predicted_sojourn
     if args.dump_samples:
-        with open(args.dump_samples, "w") as fh:
+        with _open_output(args.dump_samples) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["t", "x_lift", "y_lift", "x_reduced", "y_reduced", "in_core"]
@@ -291,7 +308,7 @@ def _cmd_equiv(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--t0", type=float, default=2.0,
+        "--t0", type=_finite_float, default=2.0,
         help="horocycle height cutting off the cusp region (must exceed 1; default 2)",
     )
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -302,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--limit", type=int, default=200_000_000,
-        help="largest sieve index / element count a command may request",
+        help="largest evaluation point / element count a command may request",
     )
 
     parser = argparse.ArgumentParser(
@@ -338,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="S: roots over all moduli; tau: odd moduli only; "
                         "psi: scattering fractions by denominator; "
                         "pi: geodesics by sojourn bound (uses --Y and --t0)")
-    p.add_argument("--x", type=float, default=None, help="evaluation point for S/tau/psi")
-    p.add_argument("--Y", type=float, default=None, help="sojourn bound exp scale for pi")
+    p.add_argument("--x", type=_finite_float, default=None,
+                   help="evaluation point for S/tau/psi")
+    p.add_argument("--Y", type=_finite_float, default=None,
+                   help="sojourn bound exp scale for pi")
     p.add_argument("--points", type=int, default=1,
                    help="emit this many log-spaced checkpoints up to the target")
     p.set_defaults(func=_cmd_count)
@@ -355,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numerically trace one geodesic and compare the measured "
                             "sojourn with 2*log(q*t0)")
     p.add_argument("w", type=_fraction_arg)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tail-factor", type=float, default=10.0, dest="tail_factor")
+    p.add_argument("--step", type=_finite_float, default=1e-3)
+    p.add_argument("--tail-factor", type=_finite_float, default=10.0, dest="tail_factor")
     p.add_argument("--dump-samples", default=None,
                    help="write per-sample CSV (t,x_lift,y_lift,x_reduced,y_reduced,in_core)")
     p.set_defaults(func=_cmd_trace)
@@ -365,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare the three evaluation routes of the root-count "
                             "Dirichlet series; columns s,F_direct,F_euler,F_closed,"
                             "max_pairwise_gap")
-    p.add_argument("s", type=float, nargs="+", help="evaluation points (each > 1.5)")
+    p.add_argument("s", type=_finite_float, nargs="+", help="evaluation points (each > 1.5)")
     p.add_argument("--terms", type=_positive_int, default=10**6,
                    help="truncation for the direct sum and the Euler product")
     p.set_defaults(func=_cmd_series)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scatterset import UnimodularMatrix
+from .scatterset import UnimodularMatrix, _require_t0
 
 DEFAULT_EPS = 1e-9
 MAX_REDUCTION_STEPS = 256
@@ -176,8 +176,7 @@ def trace_sojourn(
     w = Fraction(w)
     if not 0 <= w < 1:
         raise ValueError(f"w must lie in [0, 1), got {w}")
-    if t0 <= 1:
-        raise ValueError(f"t0 must exceed 1, got {t0}")
+    _require_t0(t0)
     if not 0 < step <= 0.01:
         raise ValueError(f"step must lie in (0, 0.01], got {step}")
     if tail_factor < 4:

@@ -51,24 +51,22 @@ def dirichlet_beta(s: float, terms: int = 256) -> float:
     geometrically for this alternating series, so a few hundred raw terms
     reach full double precision even at s = 1 (where beta(1) = pi/4).
     """
+    return _beta_and_gap(s, terms)[0]
+
+
+def _beta_and_gap(s: float, terms: int = 256) -> tuple[float, float]:
+    """beta(s) and a self-estimate of its averaging error, the gap between
+    the last two stages, from one pass."""
     if s <= 0:
         raise ValueError("s must be positive")
-    k = np.arange(terms, dtype=np.float64)
-    partial = np.cumsum((-1.0) ** k * (2.0 * k + 1.0) ** (-s))
-    while partial.size > 1:
-        partial = 0.5 * (partial[:-1] + partial[1:])
-    return float(partial[0])
-
-
-def _beta_stage_gap(s: float, terms: int = 256) -> float:
-    """Self-estimate of the averaging error: gap of the last two stages."""
     k = np.arange(terms, dtype=np.float64)
     partial = np.cumsum((-1.0) ** k * (2.0 * k + 1.0) ** (-s))
     prev = partial
     while partial.size > 1:
         prev = partial
         partial = 0.5 * (partial[:-1] + partial[1:])
-    return abs(float(partial[0]) - float(prev[0])) + 1e-16
+    value = float(partial[0])
+    return value, abs(value - float(prev[0])) + 1e-16
 
 
 def series_by_sum(
@@ -124,8 +122,7 @@ def series_by_zeta_identity(s: float, terms: int = 100_000) -> SeriesValue:
         raise ValueError("s must exceed 1")
     z1, e1 = riemann_zeta(s, terms)
     z2, e2 = riemann_zeta(2 * s, terms)
-    beta = dirichlet_beta(s)
-    eb = _beta_stage_gap(s)
+    beta, eb = _beta_and_gap(s)
     value = z1 * beta / ((1.0 + 2.0 ** (-s)) * z2)
     rel = e1 / z1 + e2 / z2 + eb / abs(beta)
     return SeriesValue(s, value, terms, abs(value) * rel)

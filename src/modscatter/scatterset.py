@@ -242,12 +242,17 @@ def canonical_fraction(w) -> Fraction:
     return w if y >= w.numerator else Fraction(y, q)
 
 
+def _require_t0(t0: float) -> None:
+    """Check a cusp height: it must be a finite number above 1 (NaN fails)."""
+    if not 1 < t0 < math.inf:
+        raise ValueError(f"t0 must be a finite number above 1, got {t0}")
+
+
 def sojourn_time(w, t0: float) -> float:
     """Time the geodesic labelled by w = p/q spends in the compact core cut
     at height t0: equal to 2*log(q*t0).  Requires t0 > 1.
     """
-    if t0 <= 1:
-        raise ValueError(f"t0 must exceed 1, got {t0}")
+    _require_t0(t0)
     w = Fraction(w)
     if not 0 <= w < 1:
         raise ValueError(f"w must lie in [0, 1), got {w}")

@@ -1,9 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from modscatter import cli, counting
 from modscatter.cli import main
 
 
@@ -144,6 +146,68 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["S", "tau", "psi", "pi"])
+def test_count_single_point_matches_sweep(capsys, monkeypatch, kind):
+    routes = []
+    for name in ("point_sums", "checkpoint_sums"):
+        def spy(arg, fn=getattr(counting, name), name=name):
+            routes.append(name)
+            return fn(arg)
+        monkeypatch.setattr(counting, name, spy)
+    target = ["--Y", "4e10", "--t0", "2"] if kind == "pi" else ["--x", "123457"]
+    _, single, _ = run(capsys, "count", kind, *target)
+    assert routes == ["point_sums"]
+    _, sparse, _ = run(capsys, "count", kind, *target, "--points", "4")
+    assert routes == ["point_sums"] * 5
+    _, dense, _ = run(capsys, "count", kind, *target, "--points", "200")
+    assert routes == ["point_sums"] * 5 + ["checkpoint_sums"]
+    single_rows = single.strip().split("\n")
+    sparse_rows = sparse.strip().split("\n")
+    dense_rows = dense.strip().split("\n")
+    assert len(single_rows) == 2 and len(sparse_rows) > 2 and len(dense_rows) > 100
+    assert single_rows[1] == sparse_rows[-1] == dense_rows[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "S", "--x", "inf"],
+    ["count", "tau", "--x", "nan"],
+    ["count", "pi", "--Y", "inf"],
+    ["count", "pi", "--Y", "1e6", "--t0=-inf"],
+    ["trace", "1/5", "--t0", "inf"],
+    ["trace", "1/5", "--step", "nan"],
+    ["trace", "1/5", "--tail-factor", "inf"],
+    ["gq", "5", "--t0", "nan"],
+    ["series", "2", "nan"],
+])
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "finite" in out.err
+
+
+@pytest.mark.parametrize("argv", [["sq", "65", "--out"], ["trace", "1/3", "--dump-samples"]])
+def test_unwritable_output_is_precondition_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "out.csv"))
+    assert code == 3
+    assert err.startswith("error:") and "missing" in err
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_write_error_is_not_precondition_error(monkeypatch, tmp_path):
+    # Only an output file that cannot be opened maps to exit 3; a failure
+    # while writing (a full disk, a closed pipe) is not a precondition.
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        main(["sq", "65", "--out", str(tmp_path / "out.csv")])
 
 
 def test_resource_cap_exit(capsys):

@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from modscatter import arith, scatterset
+from modscatter import arith, counting, scatterset
 from modscatter.counting import (
     MemoryBudgetExceeded,
     asymptotic_report,
@@ -11,9 +12,11 @@ from modscatter.counting import (
     count_geodesics,
     main_term,
     odd_modulus_roots,
+    point_sums,
     roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
+    sums_at,
     total_members,
     total_roots,
 )
@@ -89,8 +92,9 @@ def test_sojourn_threshold_exact():
     assert sojourn_threshold(3.9, 2.0) == 0
     assert sojourn_threshold(4 * 10**6, 2.0) == 1000
     assert sojourn_threshold(100.0, 2.0) == 5
-    with pytest.raises(ValueError):
-        sojourn_threshold(100.0, 1.0)
+    for t0 in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sojourn_threshold(100.0, t0)
 
 
 def test_geodesic_count_examples(table_1e4):
@@ -194,3 +198,67 @@ def test_convergence_trend(table_1e7):
         errs = [abs(asymptotic_report(kind, x, table_1e7).ratio - 1) for x in xs]
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[-1] < 0.05
+
+
+def test_checkpoints_refuse_int64_wrap(monkeypatch):
+    def sieve(*args):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(counting, "_small_primes", sieve)
+    monkeypatch.setattr(counting, "_phi_roots_segment", sieve)
+    bound = counting._SIEVE_INT64_MAX
+    assert bound * bound < 2**63 <= (bound + 1) ** 2
+    with pytest.raises(ValueError, match="wrap"):
+        checkpoint_sums([10, bound + 1])
+
+
+def test_point_sums_match_sieve():
+    rng = random.Random(7)
+    seg = counting._SEGMENT
+    pts = [*range(3001), *(rng.randrange(3001, 10**6) for _ in range(200)),
+           seg - 1, seg, seg + 1]
+    sums = checkpoint_sums(pts)
+    for x in pts:
+        assert point_sums(x) == sums[x], x
+
+
+def test_point_sums_beyond_int64():
+    # Phi(6e9) exceeds 2**63; the constant comes from the plain Python-int
+    # totient-sum recursion over a sieved table to 2**22.
+    total, _, members = point_sums(6 * 10**9)
+    assert 2 * members - total == 10942687833564150102
+
+
+def test_sums_at_picks_the_cheaper_route(monkeypatch):
+    routes = []
+    for name in ("point_sums", "checkpoint_sums"):
+        def spy(arg, fn=getattr(counting, name), name=name):
+            routes.append(name)
+            return fn(arg)
+        monkeypatch.setattr(counting, name, spy)
+    sparse = [10, 1000, 10**5, 10**6]
+    dense = list(range(10**5 - 300, 10**5 + 1))
+    assert sums_at(sparse) == checkpoint_sums(sparse)
+    assert routes == ["point_sums"] * 4
+    assert sums_at(dense) == checkpoint_sums(dense)
+    assert routes[4:] == ["checkpoint_sums"]
+    assert sums_at([]) == {}
+    with pytest.raises(ValueError):
+        sums_at([5, -1])
+
+
+def test_point_sums_refuse_out_of_range():
+    with pytest.raises(ValueError):
+        point_sums(-1)
+    with pytest.raises(ValueError):
+        point_sums(counting._POINT_SUMS_MAX + 1)
+
+
+@pytest.mark.parametrize("y", [10**6 + 3, 12_345_678, 10**9 + 7, 10**10])
+def test_hyperbola_matches_gauss_circle(y):
+    # R(y) = sum_{d <= y} chi4(d) floor(y/d) counts a quarter of the nonzero
+    # lattice points in the disc of radius sqrt(y)
+    r = math.isqrt(y)
+    disc = sum(2 * math.isqrt(y - a * a) + 1 for a in range(-r, r + 1))
+    assert (disc - 1) % 4 == 0
+    assert counting._chi4_divisor_sum(y) == (disc - 1) // 4

@@ -168,8 +168,9 @@ def test_trace_examples():
 
 
 def test_trace_preconditions():
-    with pytest.raises(ValueError):
-        trace_sojourn(Fraction(2, 5), 1.0)
+    for t0 in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            trace_sojourn(Fraction(2, 5), t0)
     with pytest.raises(ValueError):
         trace_sojourn(Fraction(2, 5), 2.0, step=0.5)
     with pytest.raises(ValueError):

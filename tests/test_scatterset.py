@@ -239,8 +239,9 @@ def test_canonical_separates_inequivalent():
 def test_sojourn_time():
     assert sojourn_time(Fraction(0), 2.0) == pytest.approx(2 * math.log(2), abs=1e-12)
     assert sojourn_time(Fraction(1, 2), 2.0) == pytest.approx(2 * math.log(4), abs=1e-12)
-    with pytest.raises(ValueError):
-        sojourn_time(Fraction(2, 5), 1.0)
+    for t0 in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sojourn_time(Fraction(2, 5), t0)
 
 
 def test_fraction_record():
