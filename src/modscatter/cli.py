@@ -111,6 +111,8 @@ def _cmd_sq(args) -> None:
     if last < args.q:
         raise ValueError("--to must not be below q")
     _check_cap(last - args.q + 1, args, "row count")
+    if args.brute:  # the scan is O(q) per row
+        _check_cap(last, args, "modulus")
     rows = []
     for q in range(args.q, last + 1):
         if args.brute:
@@ -123,33 +125,20 @@ def _cmd_sq(args) -> None:
     _emit(["q", "s", "solutions"], rows, args)
 
 
-def _fraction_rows(ws, t0: float) -> list[dict]:
-    rows = []
-    for w in ws:
-        rec = scatterset.fraction_record(w, t0)
-        rows.append(
-            {
-                "q": rec["q"],
-                "p": rec["p"],
-                "class": rec["class"],
-                "sojourn": rec["sojourn"],
-            }
-        )
-    return rows
-
-
 def _cmd_gq(args) -> None:
     _check_cap(args.q, args, "denominator")
     _require_t0(args.t0)
     members = scatterset.scatter_set(args.q).members
-    _emit(["q", "p", "class", "sojourn"], _fraction_rows(members, args.t0), args)
+    rows = [scatterset.fraction_record(w, args.t0) for w in members]
+    _emit(["q", "p", "class", "sojourn"], rows, args)
 
 
 def _cmd_g(args) -> None:
     _check_cap(args.first, args, "element count")
     _require_t0(args.t0)
     ws = scatterset.iter_fractions(args.first)
-    _emit(["q", "p", "class", "sojourn"], _fraction_rows(ws, args.t0), args)
+    rows = [scatterset.fraction_record(w, args.t0) for w in ws]
+    _emit(["q", "p", "class", "sojourn"], rows, args)
 
 
 def _log_spaced(hi: float, points: int, lo: float = 10.0) -> list[int]:

@@ -60,14 +60,15 @@ class CountTable:
 
 
 def _small_primes(n: int) -> list[int]:
+    """Primes up to n, ascending."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def _phi_roots_segment(lo: int, hi: int, primes: list[int]):
@@ -117,6 +118,27 @@ def _phi_roots_segment(lo: int, hi: int, primes: list[int]):
     return phi, roots
 
 
+def _carried_segments(top: int):
+    """Sieve 0..top segment by segment, yielding (lo, phi, roots, c_roots,
+    c_odd, c_members): the segment's arrays and the running prefix sums of
+    roots, roots over odd q, and (phi + roots)/2, carried across segments."""
+    primes = _small_primes(math.isqrt(top))
+    run_phi = run_roots = run_odd = 0
+    for lo in range(0, top + 1, _SEGMENT):
+        ph, rt = _phi_roots_segment(lo, min(lo + _SEGMENT, top + 1), primes)
+        c_phi = np.cumsum(ph, dtype=np.int64) + run_phi
+        c_roots = np.cumsum(rt, dtype=np.int64) + run_roots
+        c_odd = rt.astype(np.int64)
+        c_odd[lo % 2 :: 2] = 0  # zero the even-q slots
+        np.cumsum(c_odd, out=c_odd)
+        c_odd += run_odd
+        run_phi, run_roots, run_odd = int(c_phi[-1]), int(c_roots[-1]), int(c_odd[-1])
+        c_members = c_phi  # reuses the buffer
+        c_members += c_roots
+        c_members >>= 1  # phi + roots is even termwise
+        yield lo, ph, rt, c_roots, c_odd, c_members
+
+
 def sieve_tables(limit: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> CountTable:
     """Materialized count table for all q <= limit.
 
@@ -129,28 +151,19 @@ def sieve_tables(limit: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> CountTable:
         raise MemoryBudgetExceeded(
             f"limit {limit} exceeds the table budget of {limit_cap} entries"
         )
-    primes = _small_primes(math.isqrt(limit))
     size = limit + 1
     phi = np.zeros(size, dtype=np.int32)
     roots = np.zeros(size, dtype=np.uint8)
     roots_cum = np.zeros(size, dtype=np.int64)
     odd_roots_cum = np.zeros(size, dtype=np.int64)
     members_cum = np.zeros(size, dtype=np.int64)
-    run_phi = run_roots = run_odd = 0
-    for lo in range(0, size, _SEGMENT):
-        hi = min(lo + _SEGMENT, size)
-        ph, rt = _phi_roots_segment(lo, hi, primes)
+    for lo, ph, rt, c_roots, c_odd, c_members in _carried_segments(limit):
+        hi = lo + ph.size
         phi[lo:hi] = ph
         roots[lo:hi] = rt
-        c_phi = np.cumsum(ph, dtype=np.int64) + run_phi
-        c_roots = np.cumsum(rt, dtype=np.int64) + run_roots
-        odd = rt.astype(np.int64)
-        odd[lo % 2 :: 2] = 0  # zero the even-q slots
-        c_odd = np.cumsum(odd) + run_odd
         roots_cum[lo:hi] = c_roots
         odd_roots_cum[lo:hi] = c_odd
-        members_cum[lo:hi] = (c_phi + c_roots) >> 1  # phi + roots is even termwise
-        run_phi, run_roots, run_odd = int(c_phi[-1]), int(c_roots[-1]), int(c_odd[-1])
+        members_cum[lo:hi] = c_members
     return CountTable(limit, phi, roots, roots_cum, odd_roots_cum, members_cum)
 
 
@@ -168,28 +181,14 @@ def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
             f"x = {top} exceeds {_SIEVE_INT64_MAX}, where the sieve's int64 "
             "prefix sums would wrap; use point_sums for single points"
         )
-    primes = _small_primes(math.isqrt(top)) if top >= 1 else []
     out: dict[int, tuple[int, int, int]] = {}
-    run_phi = run_roots = run_odd = 0
     pending = iter(want)
     nxt = next(pending)
-    for lo in range(0, top + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, top + 1)
-        ph, rt = _phi_roots_segment(lo, hi, primes)
-        c_phi = np.cumsum(ph, dtype=np.int64) + run_phi
-        c_roots = np.cumsum(rt, dtype=np.int64) + run_roots
-        odd = rt.astype(np.int64)
-        odd[lo % 2 :: 2] = 0
-        c_odd = np.cumsum(odd) + run_odd
-        while nxt is not None and nxt < hi:
+    for lo, ph, _, c_roots, c_odd, c_members in _carried_segments(top):
+        while nxt is not None and nxt < lo + ph.size:
             k = nxt - lo
-            out[nxt] = (
-                int(c_roots[k]),
-                int(c_odd[k]),
-                int((c_phi[k] + c_roots[k]) >> 1),
-            )
+            out[nxt] = (int(c_roots[k]), int(c_odd[k]), int(c_members[k]))
             nxt = next(pending, None)
-        run_phi, run_roots, run_odd = int(c_phi[-1]), int(c_roots[-1]), int(c_odd[-1])
         if nxt is None:
             break
     return out

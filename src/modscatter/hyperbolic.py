@@ -2,16 +2,20 @@
 domain {0 <= Re z <= 1, |z| >= 1, |z - 1| >= 1}, and numerical sojourn
 measurement along vertical geodesic lifts.
 
-Reduction uses three determinant-1 moves: integer translation, inversion
-z -> -1/z about |z| = 1, and the conjugate inversion z -> (z - 2)/(z - 1)
-about |z - 1| = 1.  Each inversion applied strictly inside its circle raises
-the imaginary part, so the walk terminates; points within `eps` of a
-boundary are accepted as inside.
+Reduction is the nearest-integer walk with two moves: translate by the
+integer nearest to Re z, and invert z -> -1/z while |z| < 1.  An inversion
+strictly inside the unit circle raises the imaginary part, so the walk ends,
+after about one step per partial quotient of the nearest-integer continued
+fraction.  It stops with |Re z| <= 1/2; a final shift by +1 of the points
+with Re z < 0 lands in the domain above.  Points within `eps` of a boundary
+are accepted as inside.
 
 The geodesic labelled by w = p/q lifts to the vertical line Re = p/q.  In
 the quotient it crosses into the region Im <= t0 at height t0 and leaves it
 for good at height 1/(t0*q**2), so the time spent there is 2*log(q*t0);
-trace_sojourn measures that elapsed time from uniformly spaced samples.
+trace_sojourn measures that elapsed time from uniformly spaced samples.  It
+samples heights above 1/q on the line itself and those below in the chart of
+the witness matrix that sends p/q to infinity, where float(p/q) is not needed.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scatterset import UnimodularMatrix, _require_t0
+from .scatterset import UnimodularMatrix, _require_t0, partner
 
 DEFAULT_EPS = 1e-9
 MAX_REDUCTION_STEPS = 256
 
-_INVERT = UnimodularMatrix(0, -1, 1, 0)          # z -> -1/z
-_INVERT_AT_ONE = UnimodularMatrix(1, -2, 1, -1)  # z -> (z - 2)/(z - 1)
+_INVERT = UnimodularMatrix(0, -1, 1, 0)  # z -> -1/z
+_SHIFT = UnimodularMatrix(1, 1, 0, 1)    # z -> z + 1
 
 
 class ReductionError(RuntimeError):
@@ -63,8 +67,8 @@ def in_fundamental_domain(z: complex, eps: float = DEFAULT_EPS) -> bool:
     x, y = z.real, z.imag
     if x < -eps or x > 1.0 + eps:
         return False
-    lim = (1.0 - eps) ** 2
-    return x * x + y * y >= lim and (x - 1.0) ** 2 + y * y >= lim
+    u = min(abs(x), abs(x - 1.0))  # distance to the nearer centre, 0 or 1
+    return u * u + y * y >= (1.0 - eps) ** 2
 
 
 @dataclass(frozen=True)
@@ -84,23 +88,20 @@ def reduce_to_domain(
     g = UnimodularMatrix.identity()
     lim = (1.0 - eps) ** 2
     for _ in range(max_steps):
-        moved = False
-        n = math.floor(w.real)
-        if n != 0:
+        n = round(w.real)
+        if n:
             w = complex(w.real - n, w.imag)
             g = UnimodularMatrix(1, -n, 0, 1) * g
-            moved = True
-        if w.real * w.real + w.imag * w.imag < lim:
-            w = -1.0 / w
-            g = _INVERT * g
-            moved = True
-        elif (w.real - 1.0) ** 2 + w.imag * w.imag < lim:
-            w = (w - 2.0) / (w - 1.0)
-            g = _INVERT_AT_ONE * g
-            moved = True
-        if not moved:
-            return ReducedPoint(w, g)
-    raise ReductionError(f"no fundamental-domain representative found for {z}")
+        if w.real * w.real + w.imag * w.imag >= lim:
+            break
+        w = -1.0 / w
+        g = _INVERT * g
+    else:
+        raise ReductionError(f"no fundamental-domain representative found for {z}")
+    if w.real < 0:
+        w = complex(w.real + 1.0, w.imag)
+        g = _SHIFT * g
+    return ReducedPoint(w, g)
 
 
 def reduce_points(
@@ -108,28 +109,31 @@ def reduce_points(
 ) -> np.ndarray:
     """Fundamental-domain representatives of an array of points.
 
-    Mask-vectorised version of reduce_to_domain without matrix tracking; the
-    two implementations are checked against each other in the test-suite.
+    Vectorised version of reduce_to_domain without matrix tracking: each
+    step touches only the points still inside the unit circle.  The two
+    implementations are checked against each other in the test-suite.
     """
     w = np.asarray(zs, dtype=np.complex128).copy()
     if w.size and (w.imag <= 0).any():
         raise ValueError("all points must lie in the open upper half-plane")
+    flat = w.reshape(-1)
     lim = (1.0 - eps) ** 2
+    active = np.arange(flat.size)
     for _ in range(max_steps):
-        n = np.floor(w.real)
-        shifted = n != 0
-        if shifted.any():
-            w = w - n
-        m1 = w.real**2 + w.imag**2 < lim
-        if m1.any():
-            w[m1] = -1.0 / w[m1]
-        m2 = ~m1 & ((w.real - 1.0) ** 2 + w.imag**2 < lim)
-        if m2.any():
-            w[m2] = (w[m2] - 2.0) / (w[m2] - 1.0)
-        if not (shifted.any() or m1.any() or m2.any()):
-            return w
-    stuck = int(shifted.sum() + m1.sum() + m2.sum())
-    raise ReductionError(f"{stuck} points failed to reduce within {max_steps} steps")
+        v = flat[active]
+        v -= np.rint(v.real)
+        inside = v.real**2 + v.imag**2 < lim
+        v[inside] = -1.0 / v[inside]
+        flat[active] = v
+        active = active[inside]
+        if not active.size:
+            break
+    else:
+        raise ReductionError(
+            f"{active.size} points failed to reduce within {max_steps} steps"
+        )
+    flat.real[flat.real < 0] += 1.0
+    return w
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,9 @@ def trace_sojourn(
     1/(tail_factor*t0*q**2) (a factor tail_factor past the permanent exit) at
     unit-speed parameter t = log(y_start/y).  The measured sojourn, last
     in-core t minus first in-core t, matches 2*log(q*t0) to within 2*step
-    plus the reduction tolerance.
+    plus the reduction tolerance.  Samples with y < 1/q are mapped first by
+    the witness (a, -(1 + a*p)/q; q, -p), a the partner of p, which sends
+    p/q + iy to a/q + i/(q**2*y).  A q whose exit height underflows is refused.
     """
     w = Fraction(w)
     if not 0 <= w < 1:
@@ -179,13 +185,19 @@ def trace_sojourn(
     _require_t0(t0)
     if not 0 < step <= 0.01:
         raise ValueError(f"step must lie in (0, 0.01], got {step}")
-    if tail_factor < 4:
-        raise ValueError(f"tail_factor must be at least 4, got {tail_factor}")
-    q = w.denominator
+    if not 4 <= tail_factor < math.inf:
+        raise ValueError(f"tail_factor must be a finite number at least 4, got {tail_factor}")
+    p, q = w.numerator, w.denominator
     y_start = 2.0 * t0
     y_end = 1.0 / (tail_factor * t0 * q * q)
+    if not 0 < y_end < math.inf:
+        raise ValueError(f"q = {q} is too large: the exit height underflows a float")
     t = np.arange(math.ceil(math.log(y_start / y_end) / step) + 1) * step
     y = y_start * np.exp(-t)
-    reduced = reduce_points(float(w) + 1j * y)
+    z = float(w) + 1j * y
+    low = y < 1.0 / q
+    a = partner(p, q) if q > 1 else 0
+    z[low] = float(Fraction(a, q)) + 1j / (float(q) ** 2 * y[low])
+    reduced = reduce_points(z)
     in_core = reduced.imag <= t0
     return GeodesicTrace(w, t0, step, t, y, reduced, in_core)

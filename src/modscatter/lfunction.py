@@ -97,16 +97,8 @@ def series_by_euler_product(s: float, p_max: int) -> SeriesValue:
     up to p_max; empty products are 1."""
     if s <= 1:
         raise ValueError("s must exceed 1")
-    if p_max < 2:
-        primes = np.array([], dtype=np.int64)
-    else:
-        sieve = np.ones(p_max + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(p_max) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.nonzero(sieve)[0]
-        primes = primes[primes % 4 == 1]
+    primes = np.array(counting._small_primes(p_max), dtype=np.int64)
+    primes = primes[primes % 4 == 1]
     if primes.size == 0:
         return SeriesValue(s, 1.0, 0, 0.0)
     x = primes.astype(np.float64) ** (-s)

@@ -122,6 +122,9 @@ def test_trace_precondition_exit(capsys):
     code, _, err = run(capsys, "trace", "2/5", "--t0", "1")
     assert code == 3
     assert "t0" in err
+    code, _, err = run(capsys, "trace", "1/1" + "0" * 160)
+    assert code == 3
+    assert err.startswith("error:") and "underflows" in err
 
 
 def test_equiv(capsys):
@@ -210,10 +213,19 @@ def test_write_error_is_not_precondition_error(monkeypatch, tmp_path):
         main(["sq", "65", "--out", str(tmp_path / "out.csv")])
 
 
-def test_resource_cap_exit(capsys):
+def test_resource_cap_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "S", "--x", "50000", "--limit", "1000")
     assert code == 4
     assert "limit" in err
+
+    def scan(q):
+        raise AssertionError("scanned before refusing")
+
+    # the exhaustive scan is linear in q, so --limit bounds the modulus
+    monkeypatch.setattr(cli.arith, "sqrt_minus_one_brute", scan)
+    code, out, err = run(capsys, "sq", "3037000501", "--brute")
+    assert code == 4
+    assert out == "" and "limit" in err
 
 
 def test_json_format(capsys):

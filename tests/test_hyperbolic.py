@@ -173,10 +173,13 @@ def test_trace_preconditions():
             trace_sojourn(Fraction(2, 5), t0)
     with pytest.raises(ValueError):
         trace_sojourn(Fraction(2, 5), 2.0, step=0.5)
-    with pytest.raises(ValueError):
-        trace_sojourn(Fraction(2, 5), 2.0, tail_factor=2.0)
+    for tail_factor in (2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tail_factor"):
+            trace_sojourn(Fraction(2, 5), 2.0, tail_factor=tail_factor)
     with pytest.raises(ValueError):
         trace_sojourn(Fraction(3, 2), 2.0)
+    with pytest.raises(ValueError, match="underflows"):
+        trace_sojourn(Fraction(1, 10**160), 2.0)  # exit height below the float range
 
 
 def test_trace_sample_grid():
@@ -200,10 +203,42 @@ def test_trace_core_window():
 
 
 def test_trace_matches_formula_across_family():
-    for q in range(1, 9):
-        for w in scatter_set(q).members:
-            tr = trace_sojourn(w, 2.0, step=1e-3)
-            assert abs(tr.measured_sojourn - tr.predicted_sojourn) <= 2e-3 + 1e-6
+    cases = [(w, 2.0) for q in range(1, 9) for w in scatter_set(q).members]
+    # long partial quotients (253/254 = [0; 1, 253]) and denominators far
+    # beyond the resolution of float(p/q) near the exit height
+    labels = [
+        Fraction(253, 254),
+        Fraction(336, 1009),
+        Fraction(333334, 1000003),
+        Fraction(10**8, 10**8 + 7),
+        Fraction(123456789, 10**9 + 7),
+        Fraction(1, 10**12 + 39),
+    ]
+    cases += [(w, t0) for w in labels for t0 in (1.5, 3.0)]
+    for w, t0 in cases:
+        tr = trace_sojourn(w, t0, step=1e-3)
+        assert abs(tr.measured_sojourn - tr.predicted_sojourn) <= 2e-3 + 1e-6, (w, t0)
+
+
+def test_reduce_points_exit_height_sweep():
+    # every coprime p/q with q <= 1000, on both sides of the exit height
+    # 1/(t0*q^2): the witness sends p/q + i*k/(t0*q^2) to a/q + i*t0/k, so
+    # the reduced ordinate is at most t0 exactly when k >= 1
+    t0 = 2.0
+    ps, qs = [], []
+    for q in range(1, 1001):
+        p = np.arange(q)
+        p = p[np.gcd(p, q) == 1]
+        ps.append(p)
+        qs.append(np.full(p.size, q))
+    p = np.concatenate(ps).astype(np.float64)
+    q = np.concatenate(qs).astype(np.float64)
+    assert p.size == 304_192
+    ks = np.array([0.5, 0.999, 1.001, 2.0])
+    zs = p / q + 1j * ks[:, None] / (t0 * q * q)
+    reduced = reduce_points(zs, max_steps=16)
+    assert reduced.shape == zs.shape
+    assert ((reduced.imag <= t0) == (ks[:, None] >= 1)).all()
 
 
 def test_reduction_error_is_reported():
