@@ -23,8 +23,9 @@ MAX_N = 2**63 - 1
 _TRIAL_LIMIT = 10**6
 # Deterministic Miller-Rabin witness set: valid for every n below 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Largest modulus for which the vectorised scan keeps p*p + 1 inside int64.
-_SCAN_LIMIT = 3_037_000_499
+# Largest n with n*n <= 2**63 - 1: products of two residues below it, the
+# sieve's prefix sums to x and the scan's p*p + 1 all stay inside int64.
+_INT64_ROOT = math.isqrt(MAX_N)
 _SCAN_CHUNK = 1 << 22
 
 
@@ -184,7 +185,7 @@ def sqrt_minus_one_brute(q: int) -> list[int]:
     if q == 1:
         return []
     out: list[int] = []
-    if q <= _SCAN_LIMIT:
+    if q <= _INT64_ROOT:
         for lo in range(1, q, _SCAN_CHUNK):
             p = np.arange(lo, min(lo + _SCAN_CHUNK, q), dtype=np.int64)
             hits = p[(p * p + 1) % q == 0]

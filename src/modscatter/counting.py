@@ -31,13 +31,11 @@ from typing import Iterable
 
 import numpy as np
 
+from .arith import _INT64_ROOT
 from .scatterset import _require_t0
 
 DEFAULT_LIMIT_CAP = 50_000_000
 _SEGMENT = 1 << 22
-# x*x < 2**63 keeps the streamed sieve's int64 prefix sums, bounded by
-# x*(x+1)/2 plus the root sums, from wrapping.
-_SIEVE_INT64_MAX = math.isqrt(2**63 - 1)
 # point_sums adds table values in int64 blocks of at most x*_SEGMENT/2, which
 # stays below 2**63 up to here; its running totals are Python ints.
 _POINT_SUMS_MAX = 10**12
@@ -176,9 +174,9 @@ def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     if want[0] < 0:
         raise ValueError("points must be nonnegative")
     top = want[-1]
-    if top > _SIEVE_INT64_MAX:
+    if top > _INT64_ROOT:
         raise ValueError(
-            f"x = {top} exceeds {_SIEVE_INT64_MAX}, where the sieve's int64 "
+            f"x = {top} exceeds {_INT64_ROOT}, where the sieve's int64 "
             "prefix sums would wrap; use point_sums for single points"
         )
     out: dict[int, tuple[int, int, int]] = {}

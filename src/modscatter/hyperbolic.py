@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scatterset import UnimodularMatrix, _require_t0, partner
+from .scatterset import UnimodularMatrix, _require_t0, partner, sojourn_time
 
 DEFAULT_EPS = 1e-9
 MAX_REDUCTION_STEPS = 256
@@ -162,7 +162,7 @@ class GeodesicTrace:
 
     @property
     def predicted_sojourn(self) -> float:
-        return 2.0 * math.log(self.w.denominator * self.t0)
+        return sojourn_time(self.w, self.t0)
 
 
 def trace_sojourn(

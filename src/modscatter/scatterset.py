@@ -6,7 +6,9 @@ the rest fall into two-element orbits {p, y}.  Keeping the self-paired
 residues together with the minimum of every orbit yields the fraction family
 for denominator q, and the disjoint union over q = 1, 2, 3, ... indexes the
 geodesics of the modular surface that escape to the cusp in both directions.
-The family is ordered by denominator first, fraction value second.
+The family is ordered by denominator first, fraction value second.  One
+vectorised kernel lists the units of q with their partners; scatter_set and
+pairing_census both read the family off it.
 
 Two fractions p1/q and p2/q (denominators >= 2) label the same geodesic
 exactly when q divides p1*p2 + 1; the witness is the determinant-1 matrix
@@ -24,19 +26,18 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
+from .arith import _INT64_ROOT
 
 INFINITY = math.inf
-
-# q*q must stay below 2**63 for the vectorised census arithmetic.
-_CENSUS_LIMIT = 3_037_000_499
 
 
 class UnimodularMatrix:
     """Integer 2x2 matrix of determinant 1, identified with its negation.
 
     The sign is normalized on construction (c > 0, or c == 0 and a > 0) so
-    equality of group elements is a plain component comparison.  Acts on the
-    upper half-plane and on extended rationals by z -> (a z + b)/(c z + d).
+    equality of group elements is a plain component comparison.  Acts by
+    z -> (a z + b)/(c z + d): exactly on extended rationals (apply_to), and
+    on the upper half-plane through hyperbolic.mobius_apply.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -63,9 +64,6 @@ class UnimodularMatrix:
 
     def inverse(self) -> "UnimodularMatrix":
         return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
-
-    def __call__(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
 
     def apply_to(self, w):
         """Exact action on a Fraction or on INFINITY."""
@@ -120,26 +118,18 @@ class ScatterSet:
 
 
 def scatter_set(q: int) -> ScatterSet:
-    """Build the fraction family for denominator q by enumerating the pairing."""
+    """Build the fraction family for denominator q from the partner pairing."""
     if q < 1:
         raise ValueError("q must be positive")
     if q == 1:
         return ScatterSet(1, (), (), (Fraction(0),))
-    selfp: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    seen = bytearray(q)
-    for p in range(1, q):
-        if seen[p] or math.gcd(p, q) != 1:
-            continue
-        y = (-pow(p, -1, q)) % q
-        if y == p:
-            selfp.append(p)
-        else:
-            # ascending scan: the partner of a fresh unit is always above it
-            pairs.append((p, y))
-            seen[y] = 1
+    units, y = _pairing(q)
+    low = units < y
+    selfp = units[units == y].tolist()
+    pairs = tuple(zip(units[low].tolist(), y[low].tolist()))
+    # built from the ints already held, not a third list of them (peak memory)
     members = tuple(Fraction(p, q) for p in sorted(selfp + [a for a, _ in pairs]))
-    return ScatterSet(q, tuple(selfp), tuple(pairs), members)
+    return ScatterSet(q, tuple(selfp), pairs, members)
 
 
 def _mod_pow(base: np.ndarray, exp: int, q: int) -> np.ndarray:
@@ -153,18 +143,17 @@ def _mod_pow(base: np.ndarray, exp: int, q: int) -> np.ndarray:
     return result
 
 
-def pairing_census(q: int) -> tuple[int, int, int]:
-    """Wholesale enumeration of the partner involution mod q.
+def _pairing(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units mod q in ascending order and the partner of each.
 
-    Returns (units, self_paired, members) where units equals phi(q).  The
-    partner map is verified to be an involution of the unit group on the way,
-    so the member count comes from the pairing itself rather than from any
-    closed-form count.
+    Partners come from the vectorised inverse p**(phi(q)-1), and the map is
+    verified to be an involution of the unit group.  q whose square leaves
+    int64 is refused before anything is allocated.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    if q > _CENSUS_LIMIT:
-        raise ValueError("census path requires q*q < 2**63")
+    if q > _INT64_ROOT:
+        raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where q*q leaves int64")
     mask = np.ones(q, dtype=bool)
     mask[0] = False
     for p, _ in arith.factorize(q).factors:
@@ -177,9 +166,18 @@ def pairing_census(q: int) -> tuple[int, int, int]:
     pos = np.searchsorted(units, y)
     if (units[pos] != y).any() or (y[pos] != units).any():
         raise ArithmeticError(f"partner map is not an involution for q = {q}")
+    return units, y
+
+
+def pairing_census(q: int) -> tuple[int, int, int]:
+    """Counts of the partner involution mod q, read off the pairing kernel.
+
+    Returns (units, self_paired, members) where units equals phi(q); the
+    member count comes from the pairing itself, not from a closed form.
+    """
+    units, y = _pairing(q)
     self_paired = int((y == units).sum())
-    members = self_paired + (len(units) - self_paired) // 2
-    return len(units), self_paired, members
+    return len(units), self_paired, self_paired + (len(units) - self_paired) // 2
 
 
 def iter_fractions(limit: int | None = None) -> Iterator[Fraction]:
@@ -263,8 +261,6 @@ def fraction_record(w, t0: float) -> dict:
     """JSON-ready record (q, p, class, sojourn) for one scattering fraction."""
     w = Fraction(w)
     q, p = w.denominator, w.numerator
-    if q == 1 or partner(p, q) == p:
-        kind = "self_paired"
-    else:
-        kind = "pair_min"
+    # p is its own partner exactly when p*p == -1 (mod q); q = 1 included
+    kind = "self_paired" if (p * p + 1) % q == 0 else "pair_min"
     return {"q": q, "p": p, "class": kind, "sojourn": sojourn_time(w, t0)}

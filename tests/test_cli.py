@@ -227,6 +227,13 @@ def test_resource_cap_exit(capsys, monkeypatch):
     assert code == 4
     assert out == "" and "limit" in err
 
+    # a --limit above the int64 bound does not let gq reach the pairing
+    # arithmetic: q*q would wrap, so it is a precondition failure
+    monkeypatch.setattr(cli.scatterset, "np", None)
+    code, out, err = run(capsys, "gq", "3037000500", "--limit", "4000000000")
+    assert code == 3
+    assert out == "" and "int64" in err
+
 
 def test_json_format(capsys):
     _, out, _ = run(capsys, "sq", "65", "--format", "json")

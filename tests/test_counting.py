@@ -206,7 +206,7 @@ def test_checkpoints_refuse_int64_wrap(monkeypatch):
 
     monkeypatch.setattr(counting, "_small_primes", sieve)
     monkeypatch.setattr(counting, "_phi_roots_segment", sieve)
-    bound = counting._SIEVE_INT64_MAX
+    bound = counting._INT64_ROOT
     assert bound * bound < 2**63 <= (bound + 1) ** 2
     with pytest.raises(ValueError, match="wrap"):
         checkpoint_sums([10, bound + 1])

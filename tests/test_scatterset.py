@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from modscatter import arith
+from modscatter import arith, scatterset
 from modscatter.scatterset import (
     INFINITY,
     ScatterSet,
@@ -25,6 +25,24 @@ def phi(q):
     for p, _ in arith.factorize(q).factors:
         out -= out // p
     return out
+
+
+def scan_pairing(q):
+    """Independent oracle: (self_paired, pairs, member numerators) of q >= 2
+    by an ascending scan of [1, q) with Python's modular inverse."""
+    selfp, pairs = [], []
+    seen = bytearray(q)
+    for p in range(1, q):
+        if seen[p] or math.gcd(p, q) != 1:
+            continue
+        y = (-pow(p, -1, q)) % q
+        if y == p:
+            selfp.append(p)
+        else:
+            # ascending scan: the partner of a fresh unit is always above it
+            pairs.append((p, y))
+            seen[y] = 1
+    return tuple(selfp), tuple(pairs), sorted(selfp + [a for a, _ in pairs])
 
 
 class TestUnimodularMatrix:
@@ -77,7 +95,7 @@ def test_partner_involutive_and_valid():
             assert partner(y, q) == p
 
 
-def test_partner_rejects():
+def test_partner_rejects(monkeypatch):
     with pytest.raises(ValueError):
         partner(2, 4)
     with pytest.raises(ValueError):
@@ -86,6 +104,15 @@ def test_partner_rejects():
         partner(5, 5)
     with pytest.raises(ValueError):
         partner(1, 1)
+    # q*q leaves int64 just past isqrt(2**63 - 1): the pairing kernel refuses
+    # such q before numpy or the factorization is touched
+    bound = arith._INT64_ROOT
+    assert bound * bound < 2**63 <= (bound + 1) ** 2
+    monkeypatch.setattr(scatterset, "np", None)
+    monkeypatch.setattr(scatterset, "arith", None)
+    for build in (scatter_set, pairing_census):
+        with pytest.raises(ValueError, match="int64"):
+            build(bound + 1)
 
 
 def test_scatter_set_golden():
@@ -123,12 +150,14 @@ def test_partition_and_cardinality():
 
 
 def test_census_matches_construction():
-    for q in range(2, 400):
+    for q in range(2, 2001):
+        selfp, pairs, nums = scan_pairing(q)
         g = scatter_set(q)
-        units, selfp, members = pairing_census(q)
-        assert units == phi(q)
-        assert selfp == len(g.self_paired)
-        assert members == len(g.members)
+        assert g.self_paired == selfp, q
+        assert g.pairs == pairs, q
+        assert g.members == tuple(Fraction(p, q) for p in nums), q
+        assert all(type(p) is int for pr in (g.self_paired, *g.pairs) for p in pr), q
+        assert pairing_census(q) == (phi(q), len(selfp), len(nums)), q
 
 
 def test_iteration_golden():
@@ -254,3 +283,9 @@ def test_fraction_record():
     }
     assert fraction_record(Fraction(1, 5), 2.0)["class"] == "pair_min"
     assert fraction_record(Fraction(0), 2.0)["class"] == "self_paired"
+    # every coprime p/q with q < 200, pair maxima included
+    for q in range(2, 200):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                kind = fraction_record(Fraction(p, q), 2.0)["class"]
+                assert (kind == "self_paired") == (partner(p, q) == p), (p, q)
