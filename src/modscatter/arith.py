@@ -165,9 +165,9 @@ def classify(f: Factorization) -> Classification:
     return Classification(CongruenceClass.ODD, omega)
 
 
-def count_sqrt_minus_one(q: int) -> int:
+def count_sqrt_minus_one(q: int | Factorization) -> int:
     """Number of p in [1, q) with p*p == -1 (mod q); returns 1 for q = 1."""
-    c = classify(factorize(q))
+    c = classify(q if isinstance(q, Factorization) else factorize(q))
     if c.kind is CongruenceClass.NO_SOLUTIONS:
         return 0
     return 1 << c.omega
@@ -177,21 +177,18 @@ def sqrt_minus_one_brute(q: int) -> list[int]:
     """Exhaustive-scan oracle: all p in [1, q) with p*p + 1 == 0 (mod q), sorted.
 
     Definitional and independent of the classification above.  Returns [] for
-    q = 1 (the count convention there is handled by the caller).  Uses a
-    chunked int64 scan while (q-1)**2 fits, otherwise exact Python integers.
+    q = 1 (the count convention there is handled by the caller).  A chunked
+    int64 scan; refuses q above _INT64_ROOT, where (q-1)**2 would wrap.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    if q == 1:
-        return []
+    if q > _INT64_ROOT:
+        raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where the int64 scan would wrap")
     out: list[int] = []
-    if q <= _INT64_ROOT:
-        for lo in range(1, q, _SCAN_CHUNK):
-            p = np.arange(lo, min(lo + _SCAN_CHUNK, q), dtype=np.int64)
-            hits = p[(p * p + 1) % q == 0]
-            out.extend(int(v) for v in hits)
-    else:
-        out.extend(p for p in range(1, q) if (p * p + 1) % q == 0)
+    for lo in range(1, q, _SCAN_CHUNK):
+        p = np.arange(lo, min(lo + _SCAN_CHUNK, q), dtype=np.int64)
+        hits = p[(p * p + 1) % q == 0]
+        out.extend(int(v) for v in hits)
     return out
 
 

@@ -119,8 +119,9 @@ def _cmd_sq(args) -> None:
             sols = arith.sqrt_minus_one_brute(q)
             s = 1 if q == 1 else len(sols)
         else:
-            s = arith.count_sqrt_minus_one(q)
-            sols = arith.sqrt_minus_one_crt(q) if (s and q > 1) else []
+            f = arith.factorize(q)
+            s = arith.count_sqrt_minus_one(f)
+            sols = arith.sqrt_minus_one_crt(f) if (s and q > 1) else []
         rows.append({"q": q, "s": s, "solutions": sols})
     _emit(["q", "s", "solutions"], rows, args)
 

@@ -3,11 +3,11 @@ scattering family, with their first-order growth laws.
 
 A single smallest-prime pass per segment produces, for every q up to the
 limit, the totient phi(q) and the solution count of x^2 == -1 (mod q)
-(classified through the odd part of q).  Prefix sums then give
+(classified through the odd part of q).  Two prefix sums then give
 
-  total roots   T(x)  = sum_{q <= x} roots(q)          ~ 3x/(2*pi)
-  odd share     t(x)  = same sum over odd q            ~ x/pi
+  odd share     t(x)  = sum_{q <= x, q odd} roots(q)      ~ x/pi
   members       M(x)  = sum_{q <= x} (phi(q)+roots(q))/2  ~ 3x^2/(2*pi^2)
+  total roots   T(x)  = sum_{q <= x} roots(q) = t(x) + t(floor(x/2))  ~ 3x/(2*pi)
 
 and the geodesic count by sojourn bound, Pi(Y) = M(floor(sqrt(Y)/t0)),
 grows like 3Y/(2*pi^2*t0^2).
@@ -47,12 +47,11 @@ class MemoryBudgetExceeded(ValueError):
 
 @dataclass(frozen=True)
 class CountTable:
-    """Per-q arrays (index = q, entry 0 unused) plus exact prefix sums."""
+    """Per-q root counts (index = q, entry 0 unused) plus exact prefix sums,
+    17 bytes per entry.  The all-moduli sum is read as tau(x) + tau(x/2)."""
 
     limit: int
-    phi: np.ndarray            # int32: Euler totient
     roots: np.ndarray          # uint8: solutions of p^2 == -1 (mod q), with roots[1] = 1
-    roots_cum: np.ndarray      # int64: cumulative roots
     odd_roots_cum: np.ndarray  # int64: cumulative roots over odd q only
     members_cum: np.ndarray    # int64: cumulative (phi + roots) / 2
 
@@ -73,17 +72,16 @@ def _phi_roots_segment(lo: int, hi: int, primes: list[int]):
     """phi and root-count arrays for the values lo, lo+1, ..., hi-1.
 
     `primes` must cover every prime up to sqrt(hi - 1).  Only slice
-    operations touch the arrays: one pass per prime for phi and the residue
-    classification, one pass per prime power to strip factors off `rem`.
+    operations touch the arrays: one pass per prime for phi and the root
+    count, one pass per prime power to strip factors off `rem`.  The root
+    count starts at 1 and doubles per prime == 1 (mod 4); a prime == 3
+    (mod 4) or a factor 4 zeroes it.
     """
     n = hi - lo
     phi = np.arange(lo, hi, dtype=np.int64)
     rem = phi.copy()
-    ok = np.ones(n, dtype=bool)
-    omega = np.zeros(n, dtype=np.uint8)
-    first4 = -(-lo // 4) * 4
-    if first4 < hi:
-        ok[first4 - lo :: 4] = False  # multiples of 4 never admit a root
+    roots = np.ones(n, dtype=np.uint8)
+    roots[-lo % 4 :: 4] = 0  # multiples of 4 (and 0) never admit a root
     for p in primes:
         first = -(-lo // p) * p
         if first >= hi:
@@ -91,78 +89,67 @@ def _phi_roots_segment(lo: int, hi: int, primes: list[int]):
         sl = slice(first - lo, n, p)
         phi[sl] -= phi[sl] // p
         if p % 4 == 1:
-            omega[sl] += 1
+            roots[sl] <<= 1
         elif p % 4 == 3:
-            ok[sl] = False
+            roots[sl] = 0
         pk = p
         while pk < hi:
             fk = -(-lo // pk) * pk
             if fk < hi:
                 rem[fk - lo :: pk] //= p
             pk *= p
-    big = rem > 1  # leftover cofactors are primes above sqrt(hi - 1)
-    if big.any():
+    big = np.flatnonzero(rem > 1)  # leftover cofactors are primes above sqrt(hi - 1)
+    if big.size:
         r = rem[big]
         phi[big] = phi[big] // r * (r - 1)
-        idx = np.nonzero(big)[0]
         r4 = r & 3
-        ok[idx[r4 == 3]] = False
-        omega[idx[r4 == 1]] += 1
-    roots = np.zeros(n, dtype=np.uint8)
-    roots[ok] = np.left_shift(1, omega[ok].astype(np.int64)).astype(np.uint8)
-    if lo == 0:
-        phi[0] = 0
-        roots[0] = 0
+        roots[big[r4 == 3]] = 0
+        roots[big[r4 == 1]] <<= 1
     return phi, roots
 
 
 def _carried_segments(top: int):
-    """Sieve 0..top segment by segment, yielding (lo, phi, roots, c_roots,
-    c_odd, c_members): the segment's arrays and the running prefix sums of
-    roots, roots over odd q, and (phi + roots)/2, carried across segments."""
+    """Sieve 0..top segment by segment, yielding (lo, roots, c_odd,
+    c_members): the segment's root counts and the running prefix sums of
+    roots over odd q and of (phi + roots)/2, carried across segments."""
     primes = _small_primes(math.isqrt(top))
-    run_phi = run_roots = run_odd = 0
+    run_odd = run_members = 0
     for lo in range(0, top + 1, _SEGMENT):
-        ph, rt = _phi_roots_segment(lo, min(lo + _SEGMENT, top + 1), primes)
-        c_phi = np.cumsum(ph, dtype=np.int64) + run_phi
-        c_roots = np.cumsum(rt, dtype=np.int64) + run_roots
+        c_members, rt = _phi_roots_segment(lo, min(lo + _SEGMENT, top + 1), primes)
         c_odd = rt.astype(np.int64)
         c_odd[lo % 2 :: 2] = 0  # zero the even-q slots
         np.cumsum(c_odd, out=c_odd)
         c_odd += run_odd
-        run_phi, run_roots, run_odd = int(c_phi[-1]), int(c_roots[-1]), int(c_odd[-1])
-        c_members = c_phi  # reuses the buffer
-        c_members += c_roots
+        c_members += rt  # summed in place in the phi buffer
         c_members >>= 1  # phi + roots is even termwise
-        yield lo, ph, rt, c_roots, c_odd, c_members
+        np.cumsum(c_members, out=c_members)
+        c_members += run_members
+        run_odd, run_members = int(c_odd[-1]), int(c_members[-1])
+        yield lo, rt, c_odd, c_members
 
 
-def sieve_tables(limit: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> CountTable:
+def sieve_tables(limit: int) -> CountTable:
     """Materialized count table for all q <= limit.
 
-    Rejects limits above `limit_cap` (the stored arrays cost 29 bytes per
-    entry); use point_sums for isolated large evaluation points.
+    Rejects limits above DEFAULT_LIMIT_CAP (the stored arrays cost 17 bytes
+    per entry); use point_sums for isolated large evaluation points.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    if limit > limit_cap:
+    if limit > DEFAULT_LIMIT_CAP:
         raise MemoryBudgetExceeded(
-            f"limit {limit} exceeds the table budget of {limit_cap} entries"
+            f"limit {limit} exceeds the table budget of {DEFAULT_LIMIT_CAP} entries"
         )
     size = limit + 1
-    phi = np.zeros(size, dtype=np.int32)
-    roots = np.zeros(size, dtype=np.uint8)
-    roots_cum = np.zeros(size, dtype=np.int64)
-    odd_roots_cum = np.zeros(size, dtype=np.int64)
-    members_cum = np.zeros(size, dtype=np.int64)
-    for lo, ph, rt, c_roots, c_odd, c_members in _carried_segments(limit):
-        hi = lo + ph.size
-        phi[lo:hi] = ph
+    roots = np.empty(size, dtype=np.uint8)
+    odd_roots_cum = np.empty(size, dtype=np.int64)
+    members_cum = np.empty(size, dtype=np.int64)
+    for lo, rt, c_odd, c_members in _carried_segments(limit):
+        hi = lo + rt.size
         roots[lo:hi] = rt
-        roots_cum[lo:hi] = c_roots
         odd_roots_cum[lo:hi] = c_odd
         members_cum[lo:hi] = c_members
-    return CountTable(limit, phi, roots, roots_cum, odd_roots_cum, members_cum)
+    return CountTable(limit, roots, odd_roots_cum, members_cum)
 
 
 def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
@@ -179,17 +166,17 @@ def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
             f"x = {top} exceeds {_INT64_ROOT}, where the sieve's int64 "
             "prefix sums would wrap; use point_sums for single points"
         )
-    out: dict[int, tuple[int, int, int]] = {}
-    pending = iter(want)
+    tau: dict[int, int] = {}
+    members: dict[int, int] = {}
+    pending = iter(sorted({*want, *(x // 2 for x in want)}))
     nxt = next(pending)
-    for lo, ph, _, c_roots, c_odd, c_members in _carried_segments(top):
-        while nxt is not None and nxt < lo + ph.size:
-            k = nxt - lo
-            out[nxt] = (int(c_roots[k]), int(c_odd[k]), int(c_members[k]))
+    for lo, rt, c_odd, c_members in _carried_segments(top):
+        while nxt is not None and nxt < lo + rt.size:
+            tau[nxt], members[nxt] = int(c_odd[nxt - lo]), int(c_members[nxt - lo])
             nxt = next(pending, None)
         if nxt is None:
             break
-    return out
+    return {x: (tau[x] + tau[x // 2], tau[x], members[x]) for x in want}
 
 
 def _chi4_divisor_sum(y: int) -> int:
@@ -319,19 +306,21 @@ def _floor_index(x: float, table: CountTable) -> int:
 
 
 def total_roots(x: float, table: CountTable) -> int:
-    """Sum of the root counts of x^2 == -1 over all moduli q <= x."""
-    return int(table.roots_cum[_floor_index(x, table)])
+    """Sum of the root counts of x^2 == -1 over all moduli q <= x, read as
+    tau(x) + tau(x/2) (the all-moduli series is (1 + 2^-s) times the odd one)."""
+    i = _floor_index(x, table)
+    return table.odd_roots_cum.item(i) + table.odd_roots_cum.item(i // 2)
 
 
 def odd_modulus_roots(x: float, table: CountTable) -> int:
     """Same sum restricted to odd moduli.  Satisfies, exactly,
     total_roots(x) == odd_modulus_roots(x) + odd_modulus_roots(x/2)."""
-    return int(table.odd_roots_cum[_floor_index(x, table)])
+    return table.odd_roots_cum.item(_floor_index(x, table))
 
 
 def total_members(x: float, table: CountTable) -> int:
     """Number of scattering fractions with denominator at most x."""
-    return int(table.members_cum[_floor_index(x, table)])
+    return table.members_cum.item(_floor_index(x, table))
 
 
 def sojourn_threshold(Y: float, t0: float) -> int:
@@ -354,7 +343,7 @@ def count_geodesics(Y: float, t0: float, table: CountTable) -> int:
     k = sojourn_threshold(Y, t0)
     if k > table.limit:
         raise ValueError(f"threshold {k} exceeds the table limit {table.limit}")
-    return int(table.members_cum[k])
+    return table.members_cum.item(k)
 
 
 def roots_sum_in_bounds(x: float, table: CountTable) -> bool:

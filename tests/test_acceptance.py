@@ -34,11 +34,13 @@ def test_criterion_1_oracle_equivalence():
                 assert arith.sqrt_minus_one_crt(q) == sols, q
 
 
-def test_criterion_2_cardinality(table_1e7):
+def test_criterion_2_cardinality():
     with criterion(2, "pairing enumeration gives (phi(q) + s_q)/2 members, q <= 1e4"):
-        for q in range(2, 10_001):
+        n = 10_000
+        phi, _ = counting._phi_roots_segment(0, n + 1, counting._small_primes(math.isqrt(n)))
+        for q in range(2, n + 1):
             units, _, members = scatterset.pairing_census(q)
-            assert units == int(table_1e7.phi[q]), q
+            assert units == int(phi[q]), q
             assert 2 * members == units + arith.count_sqrt_minus_one(q), q
 
 
@@ -71,17 +73,18 @@ def test_criterion_4_exact_identities(table_1e7):
     with criterion(4, "split and member identities hold exactly for all x <= 1e6"):
         top = 10**6
         x = np.arange(1, top + 1)
-        roots_cum = table_1e7.roots_cum[: top + 1]
+        roots_cum = np.cumsum(table_1e7.roots[: top + 1], dtype=np.int64)
         odd_cum = table_1e7.odd_roots_cum
         assert (roots_cum[1:] == odd_cum[1 : top + 1] + odd_cum[x // 2]).all()
-        phibar = np.cumsum(table_1e7.phi[: top + 1].astype(np.int64))
+        phi, _ = counting._phi_roots_segment(0, top + 1, counting._small_primes(math.isqrt(top)))
+        phibar = np.cumsum(phi)
         assert (2 * table_1e7.members_cum[: top + 1] == phibar + roots_cum).all()
 
 
 def test_criterion_5_bounds(table_1e7):
     with criterion(5, "2*floor(sqrt(x-1)) - 1 <= S(x) <= (2/3)(x+1)^1.5 for 5 <= x <= 1e6"):
         xs = np.arange(5, 10**6 + 1, dtype=np.int64)
-        s = table_1e7.roots_cum[5 : 10**6 + 1]
+        s = np.cumsum(table_1e7.roots[: 10**6 + 1], dtype=np.int64)[5:]
         r = np.sqrt((xs - 1).astype(np.float64)).astype(np.int64)
         r -= r * r > xs - 1
         r += (r + 1) * (r + 1) <= xs - 1

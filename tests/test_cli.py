@@ -218,8 +218,16 @@ def test_resource_cap_exit(capsys, monkeypatch):
     assert code == 4
     assert "limit" in err
 
-    def scan(q):
+    def scan(*args):
         raise AssertionError("scanned before refusing")
+
+    # above the int64 bound the scan refuses (exit 3) rather than loop over
+    # every residue in Python; `range` is patched so a loop fails at once
+    monkeypatch.setattr(cli.arith, "range", scan, raising=False)
+    code, out, err = run(capsys, "sq", "3037000501", "--brute", "--limit", "4000000000")
+    assert code == 3
+    assert out == "" and "int64" in err
+    monkeypatch.delattr(cli.arith, "range")
 
     # the exhaustive scan is linear in q, so --limit bounds the modulus
     monkeypatch.setattr(cli.arith, "sqrt_minus_one_brute", scan)

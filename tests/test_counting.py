@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,17 @@ from modscatter.counting import (
 )
 
 
+def _phi(n):
+    """Totients for 0..n straight from the segment sieve, not from a table."""
+    phi, _ = counting._phi_roots_segment(0, n + 1, counting._small_primes(math.isqrt(n)))
+    return phi
+
+
 def test_small_prefix_values(table_1e4):
+    names = [f.name for f in fields(table_1e4)]
+    assert names == ["limit", "roots", "odd_roots_cum", "members_cum"]
+    nbytes = sum(getattr(table_1e4, name).nbytes for name in names[1:])
+    assert nbytes == 17 * (table_1e4.limit + 1)
     assert total_roots(1, table_1e4) == 1
     assert total_members(1, table_1e4) == 1
     assert total_roots(5, table_1e4) == 4  # 1 + 1 + 0 + 0 + 2
@@ -37,11 +48,12 @@ def test_budget_rejected():
 
 
 def test_phi_column_matches_direct(table_1e4):
+    phi = _phi(table_1e4.limit)
     for q in range(1, 3000):
         expected = q
         for p, _ in arith.factorize(q).factors:
             expected -= expected // p
-        assert int(table_1e4.phi[q]) == expected
+        assert int(phi[q]) == expected
 
 
 def test_roots_column_matches_structure_count(table_1e4):
@@ -55,7 +67,9 @@ def test_roots_column_matches_brute(table_1e4):
 
 
 def test_prefixes_monotone(table_1e6):
-    assert (np.diff(table_1e6.roots_cum) >= 0).all()
+    x = np.arange(table_1e6.limit + 1)
+    total = table_1e6.odd_roots_cum[x] + table_1e6.odd_roots_cum[x // 2]
+    assert (np.diff(total) >= 0).all()
     assert (np.diff(table_1e6.members_cum) >= 0).all()
     assert (np.diff(table_1e6.odd_roots_cum) >= 0).all()
 
@@ -69,14 +83,15 @@ def test_tau_examples(table_1e4):
 
 def test_split_identity_everywhere(table_1e4):
     x = np.arange(1, table_1e4.limit + 1)
-    lhs = table_1e4.roots_cum[1:]
+    lhs = np.cumsum(table_1e4.roots, dtype=np.int64)[1:]
     rhs = table_1e4.odd_roots_cum[1:] + table_1e4.odd_roots_cum[x // 2]
     assert (lhs == rhs).all()
 
 
 def test_member_identity_everywhere(table_1e4):
-    phibar = np.cumsum(table_1e4.phi.astype(np.int64))
-    assert (2 * table_1e4.members_cum == phibar + table_1e4.roots_cum).all()
+    phibar = np.cumsum(_phi(table_1e4.limit))
+    roots_cum = np.cumsum(table_1e4.roots, dtype=np.int64)
+    assert (2 * table_1e4.members_cum == phibar + roots_cum).all()
 
 
 def test_noninteger_arguments(table_1e4):
@@ -216,7 +231,7 @@ def test_point_sums_match_sieve():
     rng = random.Random(7)
     seg = counting._SEGMENT
     pts = [*range(3001), *(rng.randrange(3001, 10**6) for _ in range(200)),
-           seg - 1, seg, seg + 1]
+           seg - 1, seg, seg + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1]
     sums = checkpoint_sums(pts)
     for x in pts:
         assert point_sums(x) == sums[x], x
