@@ -62,6 +62,7 @@ from .scatterset import (
     UnimodularMatrix,
     canonical_fraction,
     equivalence_witness,
+    family_blocks,
     fraction_record,
     iter_fractions,
     pairing_census,

@@ -26,7 +26,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Largest n with n*n <= 2**63 - 1: products of two residues below it, the
 # sieve's prefix sums to x and the scan's p*p + 1 all stay inside int64.
 _INT64_ROOT = math.isqrt(MAX_N)
+# The largest count table sieve_tables builds, at 17 bytes per entry; its
+# size is also the byte budget of every other array working set.
+DEFAULT_LIMIT_CAP = 50_000_000
+_BYTE_BUDGET = 17 * DEFAULT_LIMIT_CAP
 _SCAN_CHUNK = 1 << 22
+
+
+class MemoryBudgetExceeded(ValueError):
+    """A requested table or working set is larger than the memory budget."""
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ number), 3 precondition violation (e.g. --t0 at most 1, or an --out or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -75,21 +78,76 @@ def _cell(v):
     return v
 
 
-def _emit(columns: list[str], rows: list[dict], args) -> None:
-    if args.format == "json":
-        text = json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_cell(r[c]) for c in columns])
-        text = buf.getvalue()
-    if args.out:
-        with _open_output(args.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(columns: list[str], chunks: Iterable[str], args) -> None:
+    """Write one table to --out or stdout as its text chunks come.
+
+    A chunk holds whole rows: CSV lines, or JSON records as they sit inside
+    json.dumps(rows, indent=2).  The CSV header, the JSON brackets and the
+    commas between chunks are written here, so the bytes are those of the
+    whole table formatted at once.  The file opens before the first chunk
+    is made: a command makes its checks before it calls this.
+    """
+    as_json = args.format == "json"
+    out = _open_output(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if not as_json:
+            fh.write(",".join(columns) + "\n")
+        sep = "[\n"
+        for chunk in chunks:
+            fh.write(sep + chunk if as_json else chunk)
+            sep = ",\n"
+        if as_json:
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+# Rows per text chunk: a table is formatted and written a slice at a time,
+# so the strings held at once stay bounded however long it is.
+_CHUNK_ROWS = 1 << 16
+
+
+def _emit_rows(columns: list[str], rows: Iterable[dict], args) -> None:
+    """Write dict rows: CSV cells through _cell, or json.dumps records."""
+
+    def chunks():
+        it = iter(rows)
+        while batch := list(itertools.islice(it, _CHUNK_ROWS)):
+            if args.format == "json":
+                records = [{c: r[c] for c in columns} for r in batch]
+                yield json.dumps(records, indent=2)[2:-2]  # without "[\n" and "\n]"
+            else:
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(
+                    [_cell(r[c]) for c in columns] for r in batch
+                )
+                yield buf.getvalue()
+
+    _emit(columns, chunks(), args)
+
+
+def _emit_family(blocks, args) -> None:
+    """Write the rows fraction_record(p/q, t0) of every member of the blocks,
+    with the bytes _emit_rows would give them.  The sojourn depends on q
+    alone, so it is formatted once per block."""
+    as_json = args.format == "json"
+    join = ",\n" if as_json else ""
+    kinds = ("pair_min", "self_paired")  # indexed by the self_paired flag
+
+    def chunks():
+        for q, p, self_paired in blocks:
+            sojourn = scatterset.sojourn_time(Fraction(int(p[0]), q), args.t0)
+            if as_json:
+                head = f'  {{\n    "q": {q},\n    "p": '
+                tails = [f',\n    "class": "{c}",\n    "sojourn": {json.dumps(sojourn)}\n  }}'
+                         for c in kinds]
+            else:
+                head = f"{q},"
+                tails = [f",{c},{_cell(sojourn)}\n" for c in kinds]
+            for i in range(0, p.size, _CHUNK_ROWS):
+                cut = slice(i, i + _CHUNK_ROWS)
+                yield join.join([head + str(n) + tails[k] for n, k in
+                                 zip(p[cut].tolist(), self_paired[cut].tolist())])
+
+    _emit(["q", "p", "class", "sojourn"], chunks(), args)
 
 
 def _open_output(path: str):
@@ -123,23 +181,21 @@ def _cmd_sq(args) -> None:
             s = arith.count_sqrt_minus_one(f)
             sols = arith.sqrt_minus_one_crt(f) if (s and q > 1) else []
         rows.append({"q": q, "s": s, "solutions": sols})
-    _emit(["q", "s", "solutions"], rows, args)
+    _emit_rows(["q", "s", "solutions"], rows, args)
 
 
 def _cmd_gq(args) -> None:
     _check_cap(args.q, args, "denominator")
     _require_t0(args.t0)
-    members = scatterset.scatter_set(args.q).members
-    rows = [scatterset.fraction_record(w, args.t0) for w in members]
-    _emit(["q", "p", "class", "sojourn"], rows, args)
+    # the pairing runs (or is refused) before the output opens
+    block = next(scatterset.family_blocks(start=args.q))
+    _emit_family([block], args)
 
 
 def _cmd_g(args) -> None:
     _check_cap(args.first, args, "element count")
     _require_t0(args.t0)
-    ws = scatterset.iter_fractions(args.first)
-    rows = [scatterset.fraction_record(w, args.t0) for w in ws]
-    _emit(["q", "p", "class", "sojourn"], rows, args)
+    _emit_family(scatterset.family_blocks(args.first), args)
 
 
 def _log_spaced(hi: float, points: int, lo: float = 10.0) -> list[int]:
@@ -154,6 +210,7 @@ def _log_spaced(hi: float, points: int, lo: float = 10.0) -> list[int]:
 
 def _cmd_count(args) -> None:
     kind = args.kind
+    _check_cap(args.points, args, "point count")
     if kind == "pi":
         if args.Y is None:
             raise ValueError("kind 'pi' needs --Y")
@@ -164,20 +221,20 @@ def _cmd_count(args) -> None:
             ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
         sums = _sums_at(thresholds.values(), args)
-        rows = [
-            _report_row(kind, y, sums[thresholds[y]][2], args.t0) for y in ys
-        ]
+        exact = [(y, sums[thresholds[y]][2]) for y in ys]
     else:
         if args.x is None:
             raise ValueError(f"kind {kind!r} needs --x")
         xs = _log_spaced(args.x, args.points)
         sums = _sums_at(xs, args)
-        rows = []
-        for x in xs:
-            total, odd, members = sums[x]
-            exact = {"S": total, "tau": odd, "psi": members}[kind]
-            rows.append(_report_row(kind, float(x), exact, args.t0))
-    _emit(["x", "exact", "predicted", "ratio", "abs_error"], rows, args)
+        column = {"S": 0, "tau": 1, "psi": 2}[kind]
+        exact = [(float(x), sums[x][column]) for x in xs]
+    rows = []
+    for x, n in exact:
+        r = counting.AsymptoticReport(kind, x, n, counting.main_term(kind, x, args.t0))
+        rows.append({"x": r.x, "exact": r.exact, "predicted": r.predicted,
+                     "ratio": r.ratio, "abs_error": r.abs_error})
+    _emit_rows(["x", "exact", "predicted", "ratio", "abs_error"], rows, args)
 
 
 def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
@@ -187,39 +244,24 @@ def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
     return counting.sums_at(pts)
 
 
-def _report_row(kind: str, x: float, exact: int, t0: float) -> dict:
-    predicted = counting.main_term(kind, x, t0)
-    return {
-        "x": x,
-        "exact": exact,
-        "predicted": predicted,
-        "ratio": exact / predicted,
-        "abs_error": abs(exact - predicted),
-    }
-
-
 def _cmd_histogram(args) -> None:
     _check_cap(args.first, args, "element count")
-    if args.bins < 1:
-        raise ValueError("--bins must be positive")
-    values = np.fromiter(
-        (float(w) for w in scatterset.iter_fractions(args.first)),
-        dtype=np.float64,
-        count=args.first,
-    )
+    _check_cap(args.bins, args, "bin count")
     edges = np.linspace(0.0, 1.0, args.bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    rows = []
-    for i in range(args.bins):
-        rows.append(
-            {
-                "bin_left": float(edges[i]),
-                "bin_right": float(edges[i + 1]),
-                "count": int(counts[i]),
-                "density": counts[i] * args.bins / args.first,
-            }
-        )
-    _emit(["bin_left", "bin_right", "count", "density"], rows, args)
+    counts = np.zeros(args.bins, dtype=np.int64)
+    for q, p, _ in scatterset.family_blocks(args.first):
+        # p / q rounds as float(Fraction(p, q)): both operands are exact floats
+        counts += np.histogram(p / q, bins=edges)[0]
+    rows = (
+        {
+            "bin_left": float(edges[i]),
+            "bin_right": float(edges[i + 1]),
+            "count": int(counts[i]),
+            "density": counts[i] * args.bins / args.first,
+        }
+        for i in range(args.bins)
+    )
+    _emit_rows(["bin_left", "bin_right", "count", "density"], rows, args)
 
 
 def _cmd_trace(args) -> None:
@@ -255,7 +297,7 @@ def _cmd_trace(args) -> None:
         "predicted": predicted,
         "abs_gap": abs(measured - predicted),
     }
-    _emit(["w", "q", "t0", "step", "measured", "predicted", "abs_gap"], [row], args)
+    _emit_rows(["w", "q", "t0", "step", "measured", "predicted", "abs_gap"], [row], args)
 
 
 def _cmd_series(args) -> None:
@@ -280,7 +322,7 @@ def _cmd_series(args) -> None:
                 "max_pairwise_gap": gap,
             }
         )
-    _emit(["s", "F_direct", "F_euler", "F_closed", "max_pairwise_gap"], rows, args)
+    _emit_rows(["s", "F_direct", "F_euler", "F_closed", "max_pairwise_gap"], rows, args)
 
 
 def _cmd_equiv(args) -> None:
@@ -292,7 +334,7 @@ def _cmd_equiv(args) -> None:
         a, b, c, d = witness.astuple()
         row = {"w1": str(args.w1), "w2": str(args.w2), "result": "equivalent",
                "a": a, "b": b, "c": c, "d": d}
-    _emit(["w1", "w2", "result", "a", "b", "c", "d"], [row], args)
+    _emit_rows(["w1", "w2", "result", "a", "b", "c", "d"], [row], args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,18 +31,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import _INT64_ROOT
+from .arith import _INT64_ROOT, DEFAULT_LIMIT_CAP, MemoryBudgetExceeded
 from .scatterset import _require_t0
 
-DEFAULT_LIMIT_CAP = 50_000_000
 _SEGMENT = 1 << 22
 # point_sums adds table values in int64 blocks of at most x*_SEGMENT/2, which
 # stays below 2**63 up to here; its running totals are Python ints.
 _POINT_SUMS_MAX = 10**12
-
-
-class MemoryBudgetExceeded(ValueError):
-    """Requested table is larger than the configured memory budget."""
 
 
 @dataclass(frozen=True)

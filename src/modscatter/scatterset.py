@@ -7,8 +7,8 @@ residues together with the minimum of every orbit yields the fraction family
 for denominator q, and the disjoint union over q = 1, 2, 3, ... indexes the
 geodesics of the modular surface that escape to the cusp in both directions.
 The family is ordered by denominator first, fraction value second.  One
-vectorised kernel lists the units of q with their partners; scatter_set and
-pairing_census both read the family off it.
+vectorised kernel lists the units of q with their partners; scatter_set,
+pairing_census and the columnar family_blocks all read the family off it.
 
 Two fractions p1/q and p2/q (denominators >= 2) label the same geodesic
 exactly when q divides p1*p2 + 1; the witness is the determinant-1 matrix
@@ -18,6 +18,7 @@ infinity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,14 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
-from .arith import _INT64_ROOT
+from .arith import _BYTE_BUDGET, _INT64_ROOT, MemoryBudgetExceeded
 
 INFINITY = math.inf
+# Peak bytes _pairing(q) holds: one mask byte per residue plus, per unit, the
+# units, the exponentiation's operands and temporaries, partners and search
+# positions.  Measured with tracemalloc (numpy 2.4): q + 41*phi(q) and a few
+# hundred bytes, for q prime, a prime power and products of small primes.
+_PAIRING_BYTES_PER_UNIT = 42
 
 
 class UnimodularMatrix:
@@ -148,15 +154,26 @@ def _pairing(q: int) -> tuple[np.ndarray, np.ndarray]:
 
     Partners come from the vectorised inverse p**(phi(q)-1), and the map is
     verified to be an involution of the unit group.  q whose square leaves
-    int64 is refused before anything is allocated.
+    int64, or whose working set would pass the byte budget, is refused
+    before anything is allocated.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if q > _INT64_ROOT:
         raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where q*q leaves int64")
+    primes = [p for p, _ in arith.factorize(q).factors]
+    phi = q
+    for p in primes:
+        phi -= phi // p
+    need = q + _PAIRING_BYTES_PER_UNIT * phi
+    if need > _BYTE_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"q = {q} needs {need} bytes for its {phi} units, "
+            f"over the budget of {_BYTE_BUDGET}"
+        )
     mask = np.ones(q, dtype=bool)
     mask[0] = False
-    for p, _ in arith.factorize(q).factors:
+    for p in primes:
         mask[::p] = False
     units = np.nonzero(mask)[0].astype(np.int64)
     inv = _mod_pow(units, len(units) - 1, q)  # p**(phi(q)-1) == p^-1 (mod q)
@@ -180,21 +197,43 @@ def pairing_census(q: int) -> tuple[int, int, int]:
     return len(units), self_paired, self_paired + (len(units) - self_paired) // 2
 
 
+def family_blocks(
+    limit: int | None = None, start: int = 1
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield the family one denominator at a time, for q = start, start+1, ...
+
+    Each block is (q, p, self_paired): the member numerators of q ascending
+    (int64) and whether each is its own partner (bool), read off the pairing
+    kernel.  With a limit the blocks stop after that many members in all,
+    the last one cut short.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    if start < 1:
+        raise ValueError("start must be positive")
+    left = limit
+    for q in itertools.count(start):
+        if q == 1:
+            p, self_paired = np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
+        else:
+            units, y = _pairing(q)
+            keep = units <= y
+            p, self_paired = units[keep], (units == y)[keep]
+        if left is not None:
+            if left <= p.size:
+                yield q, p[:left], self_paired[:left]
+                return
+            left -= p.size
+        yield q, p, self_paired
+
+
 def iter_fractions(limit: int | None = None) -> Iterator[Fraction]:
     """Yield the scattering fractions in order: blocks of increasing q,
     increasing within each block.  Starts 0, 1/2, 1/3, 1/4, 1/5, 2/5, 3/5, ...
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    emitted = 0
-    q = 0
-    while limit is None or emitted < limit:
-        q += 1
-        for w in scatter_set(q).members:
-            yield w
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+    for q, p, _ in family_blocks(limit):
+        for n in p.tolist():
+            yield Fraction(n, q)
 
 
 def equivalence_witness(w1, w2) -> UnimodularMatrix | None:

@@ -1,11 +1,14 @@
+import csv
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from modscatter import cli, counting
+from modscatter import cli, counting, scatterset
 from modscatter.cli import main
 
 
@@ -242,6 +245,12 @@ def test_resource_cap_exit(capsys, monkeypatch):
     assert code == 3
     assert out == "" and "int64" in err
 
+    # within --limit, a q whose pairing working set passes the byte budget
+    # is refused from its factorization alone
+    code, out, err = run(capsys, "gq", "100000007")
+    assert code == 4
+    assert out == "" and "budget" in err
+
 
 def test_json_format(capsys):
     _, out, _ = run(capsys, "sq", "65", "--format", "json")
@@ -300,3 +309,124 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "q,s,solutions\n5,2,2;3\n"
+
+
+# Byte-identity of the streamed family output ------------------------------
+
+def oracle_text(columns, rows, fmt):
+    """The whole-table emitter the streamed one replaced: every row a dict,
+    through csv.writer and _cell, or json.dumps(indent=2)."""
+    if fmt == "json":
+        return json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in rows:
+        writer.writerow([cli._cell(r[c]) for c in columns])
+    return buf.getvalue()
+
+
+def oracle_members(first):
+    out, q = [], 0
+    while len(out) < first:
+        q += 1
+        out.extend(scatterset.scatter_set(q).members)
+    return out[:first]
+
+
+def oracle_family(ws, t0, fmt):
+    rows = [scatterset.fraction_record(w, t0) for w in ws]
+    return oracle_text(["q", "p", "class", "sojourn"], rows, fmt)
+
+
+def oracle_histogram(first, bins, fmt):
+    values = np.array([float(w) for w in oracle_members(first)])
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    counts, _ = np.histogram(values, bins=edges)
+    rows = [{"bin_left": float(edges[i]), "bin_right": float(edges[i + 1]),
+             "count": int(counts[i]), "density": counts[i] * bins / first}
+            for i in range(bins)]
+    return oracle_text(["bin_left", "bin_right", "count", "density"], rows, fmt)
+
+
+FORMATS = ["csv", "json"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("first", [1, 2, 3, 7, 50, 1000, 5003])
+def test_g_matches_oracle(capsys, fmt, first):
+    _, out, _ = run(capsys, "G", "--first", str(first), "--format", fmt)
+    assert out == oracle_family(oracle_members(first), 2.0, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 25, 65, 30030])
+def test_gq_matches_oracle(capsys, fmt, q):
+    _, out, _ = run(capsys, "gq", str(q), "--format", fmt)
+    assert out == oracle_family(scatterset.scatter_set(q).members, 2.0, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("t0", ["1.5", "2.0", "3.0", "1.0000001"])
+def test_family_t0_matches_oracle(capsys, fmt, t0):
+    _, out, _ = run(capsys, "G", "--first", "60", "--t0", t0, "--format", fmt)
+    assert out == oracle_family(oracle_members(60), float(t0), fmt)
+    _, out, _ = run(capsys, "gq", "65", "--t0", t0, "--format", fmt)
+    assert out == oracle_family(scatterset.scatter_set(65).members, float(t0), fmt)
+
+
+def test_tables_are_written_in_slices(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    for fmt in FORMATS:
+        _, out, _ = run(capsys, "gq", "101", "--format", fmt)
+        assert out == oracle_family(scatterset.scatter_set(101).members, 2.0, fmt)
+        _, out, _ = run(capsys, "G", "--first", "50", "--format", fmt)
+        assert out == oracle_family(oracle_members(50), 2.0, fmt)
+        for bins in (6, 7, 8, 22):
+            _, out, _ = run(capsys, "histogram", "--first", "100", "--bins", str(bins),
+                            "--format", fmt)
+            assert out == oracle_histogram(100, bins, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("first,bins", [
+    (7, 2), (40, 2), (40, 4), (40, 10), (200, 10), (1000, 4), (1000, 10), (3000, 13),
+])
+def test_histogram_matches_oracle(capsys, fmt, first, bins):
+    # 1/2, 1/4, 1/5 and 3/10 lie on edges of 2, 4 and 10 bins (3/4 is never
+    # a family member: 1/4 is the orbit minimum mod 4)
+    _, out, _ = run(capsys, "histogram", "--first", str(first), "--bins", str(bins),
+                    "--format", fmt)
+    assert out == oracle_histogram(first, bins, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["G", "--first", "1001", "--limit", "1000"],
+    ["G", "--first", "5", "--t0", "1"],
+    ["gq", "1001", "--limit", "1000"],
+    ["gq", "5", "--t0", "0.5"],
+    ["gq", "100000007"],  # over the pairing's byte budget
+    ["histogram", "--first", "1001", "--bins", "4", "--limit", "1000"],
+    ["histogram", "--first", "10", "--bins", "1001", "--limit", "1000"],
+    ["count", "S", "--x", "1000", "--points", "1001", "--limit", "1000"],
+])
+def test_refusal_leaves_out_file_unchanged(capsys, tmp_path, argv):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code in (3, 4) and out == "" and err.startswith("error:")
+    assert path.read_bytes() == b"earlier output\n"
+
+
+def test_size_options_refused_before_allocation(capsys, monkeypatch):
+    def alloc(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "linspace", alloc)
+    monkeypatch.setattr(np, "geomspace", alloc)
+    for argv in (["histogram", "--first", "10", "--bins", "1000000000"],
+                 ["count", "S", "--x", "1e7", "--points", "1000000000"],
+                 ["count", "pi", "--Y", "1e9", "--points", "1000000000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == "" and "limit" in err

@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from modscatter import arith, scatterset
+from modscatter.arith import MemoryBudgetExceeded
 from modscatter.scatterset import (
     INFINITY,
     ScatterSet,
@@ -184,6 +187,56 @@ def test_iteration_order_and_uniqueness():
         if prev_key is not None:
             assert key > prev_key
         prev_key = key
+
+
+def test_family_blocks_match_scan():
+    blocks = itertools.islice(scatterset.family_blocks(), 600)
+    for q, (bq, p, self_paired) in enumerate(blocks, start=1):
+        assert bq == q and type(bq) is int
+        if q == 1:
+            selfp, nums = (0,), [0]
+        else:
+            selfp, _, nums = scan_pairing(q)
+        assert p.tolist() == nums, q
+        assert self_paired.tolist() == [n in selfp for n in nums], q
+        start_q, start_p, start_self = next(scatterset.family_blocks(start=q))
+        assert start_q == q and start_p.tolist() == nums
+        assert start_self.tolist() == self_paired.tolist()
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 7, 50, 1000, 5003])
+def test_family_blocks_cut_at_limit(limit):
+    blocks = list(scatterset.family_blocks(limit))
+    whole = [w for q in range(1, blocks[-1][0] + 1) for w in scatter_set(q).members]
+    got = [Fraction(int(n), q) for q, p, _ in blocks for n in p]
+    assert got == whole[:limit]
+    assert all(p.size for _, p, _ in blocks)
+    with pytest.raises(ValueError):
+        next(scatterset.family_blocks(0))
+    with pytest.raises(ValueError):
+        next(scatterset.family_blocks(start=0))
+
+
+@pytest.mark.parametrize("q", [2**16, 5**8, 30030 * 33, 999_983])
+def test_pairing_working_set_within_model(q):
+    tracemalloc.start()
+    try:
+        scatterset._pairing(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= q + scatterset._PAIRING_BYTES_PER_UNIT * phi(q)
+
+
+def test_pairing_refuses_over_budget(monkeypatch):
+    # refused from the factorization alone: numpy is patched away
+    monkeypatch.setattr(scatterset, "np", None)
+    for q in (100_000_007, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23):
+        assert q + scatterset._PAIRING_BYTES_PER_UNIT * phi(q) > arith._BYTE_BUDGET
+        with pytest.raises(MemoryBudgetExceeded, match="budget"):
+            pairing_census(q)
+        with pytest.raises(MemoryBudgetExceeded):
+            next(scatterset.family_blocks(start=q))
 
 
 def test_equivalence_golden():
