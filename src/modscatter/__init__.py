@@ -33,6 +33,7 @@ from .counting import (
     roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
+    sublinear_sums,
     sums_at,
     total_members,
     total_roots,

@@ -164,6 +164,23 @@ def _check_cap(n: int, args, what: str) -> None:
         raise ResourceCapExceeded(f"{what} {n} exceeds --limit {args.limit}")
 
 
+# Bytes a command holds per item of its output before it writes, from peak
+# RSS at two sizes: an `sq` row (its dict and solutions list) 310-390 B, a
+# histogram bin 32 B (edge and count, and np.histogram's temporaries).
+_SQ_ROW_BYTES = 390
+_BIN_BYTES = 32
+
+
+def _check_budget(n: int, item_bytes: int, what: str) -> None:
+    """Refuse (exit 4) n items held at once when they would pass the byte
+    budget of the largest count table."""
+    if n * item_bytes > arith._BYTE_BUDGET:
+        raise arith.MemoryBudgetExceeded(
+            f"{n} {what} need about {n * item_bytes} bytes, "
+            f"over the budget of {arith._BYTE_BUDGET}"
+        )
+
+
 def _cmd_sq(args) -> None:
     last = args.to if args.to is not None else args.q
     if last < args.q:
@@ -171,6 +188,8 @@ def _cmd_sq(args) -> None:
     _check_cap(last - args.q + 1, args, "row count")
     if args.brute:  # the scan is O(q) per row
         _check_cap(last, args, "modulus")
+    # every row is held until the last: a --brute refusal mid-range writes nothing
+    _check_budget(last - args.q + 1, _SQ_ROW_BYTES, "rows")
     rows = []
     for q in range(args.q, last + 1):
         if args.brute:
@@ -247,6 +266,7 @@ def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
 def _cmd_histogram(args) -> None:
     _check_cap(args.first, args, "element count")
     _check_cap(args.bins, args, "bin count")
+    _check_budget(args.bins, _BIN_BYTES, "bins")
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts = np.zeros(args.bins, dtype=np.int64)
     for q, p, _ in scatterset.family_blocks(args.first):

@@ -34,9 +34,15 @@ import numpy as np
 from .arith import _INT64_ROOT, DEFAULT_LIMIT_CAP, MemoryBudgetExceeded
 from .scatterset import _require_t0
 
-_SEGMENT = 1 << 22
-# point_sums adds table values in int64 blocks of at most x*_SEGMENT/2, which
-# stays below 2**63 up to here; its running totals are Python ints.
+# Entries per streamed-sieve segment, chosen by timing 2^18..2^22: smaller
+# segments shrink the working arrays (about 60 bytes per entry), larger ones
+# keep the per-segment loop over the primes a small share of the work; 2^20
+# was the fastest sieve to 2e8 and as fast as any to 1e7.
+_SEGMENT = 1 << 20
+# The sublinear tables stop below this many entries.  sublinear_sums adds
+# table values in int64 blocks of at most x*_POINT_TABLE/2, which stays below
+# 2**63 up to _POINT_SUMS_MAX; its running totals are Python ints.
+_POINT_TABLE = 1 << 22
 _POINT_SUMS_MAX = 10**12
 
 
@@ -147,14 +153,20 @@ def sieve_tables(limit: int) -> CountTable:
     return CountTable(limit, roots, odd_roots_cum, members_cum)
 
 
+def _sorted_points(points: Iterable[int]) -> list[int]:
+    """The distinct points as ascending Python ints, all nonnegative."""
+    want = sorted({int(x) for x in points})
+    if want and want[0] < 0:
+        raise ValueError("points must be nonnegative")
+    return want
+
+
 def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     """(total roots, odd-q roots, members) at each requested x, streamed
     segment by segment so memory stays bounded regardless of max(points)."""
-    want = sorted({int(x) for x in points})
+    want = _sorted_points(points)
     if not want:
         return {}
-    if want[0] < 0:
-        raise ValueError("points must be nonnegative")
     top = want[-1]
     if top > _INT64_ROOT:
         raise ValueError(
@@ -246,50 +258,89 @@ def _totient_sum(x: int, phi_cum: np.ndarray) -> int:
     return big[1]
 
 
-def point_sums(x: int) -> tuple[int, int, int]:
-    """(total roots, odd-q roots, members) at one x, the tuple that
-    checkpoint_sums gives for it, in about x^(2/3) time without sieving to x.
+def _table_size(top: int) -> int:
+    """Largest value b the sublinear tables cover for points up to top:
+    about top^(2/3), capped below _POINT_TABLE, never below isqrt(top)."""
+    return max(min(round(top ** (2 / 3)), _POINT_TABLE - 1), math.isqrt(top))
 
-    Tables are sieved up to b = x^(2/3), capped at one segment, so memory
-    stays bounded; the results are exact Python ints for every x <= 10**12.
+
+def sublinear_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
+    """The checkpoint_sums tuple at each point, without sieving to the
+    largest point.
+
+    One table set serves every point: the primes, mu, R and the phi and root
+    prefix sums, sieved up to b = _table_size(max(points)).  A point or
+    halving up to b is read off the prefix sums; only those above b run the
+    hyperbola sum or the totient recursion, in about x^(2/3) time each.  The
+    results are exact Python ints for every point up to 10**12.
     """
-    x = int(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x > _POINT_SUMS_MAX:
-        raise ValueError(f"x = {x} exceeds {_POINT_SUMS_MAX}, the exact range of point_sums")
-    if x == 0:
-        return (0, 0, 0)
-    root = math.isqrt(x)
-    b = max(min(round(x ** (2 / 3)), _SEGMENT - 1), root)
+    want = _sorted_points(points)
+    if not want:
+        return {}
+    top = want[-1]
+    if top > _POINT_SUMS_MAX:
+        raise ValueError(f"x = {top} exceeds {_POINT_SUMS_MAX}, the exact range of sublinear_sums")
+    b, root = _table_size(top), math.isqrt(top)
     primes = _small_primes(root)
     mu = _mobius(root, primes)
     r_small = _lattice_prefix(b)
-    totals = [_roots_sum(x >> j, mu, r_small) for j in range(x.bit_length())]
-    odd = sum(totals[0::2]) - sum(totals[1::2])
-    phi, _ = _phi_roots_segment(0, b + 1, primes)
-    members = (_totient_sum(x, np.cumsum(phi)) + totals[0]) // 2
-    return (totals[0], odd, members)
+    phi_cum, roots = _phi_roots_segment(0, b + 1, primes)
+    np.cumsum(phi_cum, out=phi_cum)
+    roots_cum = np.cumsum(roots, dtype=np.int64)
+    big_totals: dict[int, int] = {}  # T(v) for the v above b, shared by the points
+
+    def total(v: int) -> int:
+        if v <= b:
+            return roots_cum.item(v)
+        if v not in big_totals:
+            big_totals[v] = _roots_sum(v, mu, r_small)
+        return big_totals[v]
+
+    sums = {}
+    for x in want:
+        halves = [total(x >> j) for j in range(x.bit_length())]
+        odd = sum(halves[0::2]) - sum(halves[1::2])
+        phi_sum = phi_cum.item(x) if x <= b else _totient_sum(x, phi_cum)
+        s = total(x)
+        sums[x] = (s, odd, (phi_sum + s) // 2)
+    return sums
 
 
-def _point_work(x: int) -> float:
-    """Cost of point_sums(x) in streamed-sieve entries: measured on one core,
-    a sieve entry takes about 175 ns and point_sums about 300 ns per unit of
-    x^(2/3) plus 70 us per bit of x."""
-    return 2 * x ** (2 / 3) + 400 * x.bit_length()
+def point_sums(x: int) -> tuple[int, int, int]:
+    """(total roots, odd-q roots, members) at one x, the tuple that
+    checkpoint_sums gives for it, in about x^(2/3) time without sieving to x:
+    sublinear_sums at the one point."""
+    return sublinear_sums([x])[int(x)]
+
+
+def _sublinear_work(want: list[int]) -> float:
+    """Cost of sublinear_sums(want) in streamed-sieve entries (about 90 ns
+    each on one core).  Fitted to timings on one core: the table set costs
+    2 entries per value up to b; a point x above b, with m = x // (b + 1),
+    adds its totient recursion (100 per step for m steps, 0.27 per element
+    of its arrays, about x/sqrt(b) of them) and the hyperbola sums of its
+    m.bit_length() halvings above b (270 each, 550*sqrt(m) for their loops
+    over k, 0.34*sqrt(x)*(1 + log m) for their arrays); every point adds
+    135 for its reads."""
+    b = _table_size(want[-1])
+    work = 3400 + 2 * b + 135 * len(want)
+    for x in want:
+        m = x // (b + 1)
+        if m:
+            work += (100 * m + 0.27 * x / math.sqrt(b) + 270 * m.bit_length()
+                     + 550 * math.sqrt(m) + 0.34 * math.sqrt(x) * (1 + math.log(m)))
+    return work
 
 
 def sums_at(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
-    """The checkpoint_sums tuple at each point, from point_sums at each point
-    when that costs less than one streamed sieve to the largest, else from
-    checkpoint_sums."""
-    want = sorted({int(p) for p in points})
+    """The checkpoint_sums tuple at each point, from sublinear_sums when its
+    estimated cost is below that of one streamed sieve to the largest point,
+    else from checkpoint_sums."""
+    want = _sorted_points(points)
     if not want:
         return {}
-    if want[0] < 0:
-        raise ValueError("points must be nonnegative")
-    if sum(_point_work(x) for x in want) < want[-1]:
-        return {x: point_sums(x) for x in want}
+    if _sublinear_work(want) < want[-1]:
+        return sublinear_sums(want)
     return checkpoint_sums(want)
 
 

@@ -156,23 +156,24 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 @pytest.mark.parametrize("kind", ["S", "tau", "psi", "pi"])
 def test_count_single_point_matches_sweep(capsys, monkeypatch, kind):
-    routes = []
-    for name in ("point_sums", "checkpoint_sums"):
+    routes = []  # (route, number of points it was given)
+    for name in ("sublinear_sums", "checkpoint_sums"):
         def spy(arg, fn=getattr(counting, name), name=name):
-            routes.append(name)
+            routes.append((name, len(arg)))
             return fn(arg)
         monkeypatch.setattr(counting, name, spy)
     target = ["--Y", "4e10", "--t0", "2"] if kind == "pi" else ["--x", "123457"]
     _, single, _ = run(capsys, "count", kind, *target)
-    assert routes == ["point_sums"]
+    assert routes == [("sublinear_sums", 1)]
     _, sparse, _ = run(capsys, "count", kind, *target, "--points", "4")
-    assert routes == ["point_sums"] * 5
     _, dense, _ = run(capsys, "count", kind, *target, "--points", "200")
-    assert routes == ["point_sums"] * 5 + ["checkpoint_sums"]
     single_rows = single.strip().split("\n")
     sparse_rows = sparse.strip().split("\n")
     dense_rows = dense.strip().split("\n")
     assert len(single_rows) == 2 and len(sparse_rows) > 2 and len(dense_rows) > 100
+    # one shared table set for every sparse point; the dense sweep is sieved
+    assert routes[1] == ("sublinear_sums", len(sparse_rows) - 1)
+    assert [name for name, _ in routes[2:]] == ["checkpoint_sums"]
     assert single_rows[1] == sparse_rows[-1] == dense_rows[-1]
 
 
@@ -409,6 +410,8 @@ def test_histogram_matches_oracle(capsys, fmt, first, bins):
     ["histogram", "--first", "1001", "--bins", "4", "--limit", "1000"],
     ["histogram", "--first", "10", "--bins", "1001", "--limit", "1000"],
     ["count", "S", "--x", "1000", "--points", "1001", "--limit", "1000"],
+    ["sq", "1", "--to", "3000000"],  # rows over the byte budget
+    ["histogram", "--first", "10", "--bins", "30000000"],  # bins over the byte budget
 ])
 def test_refusal_leaves_out_file_unchanged(capsys, tmp_path, argv):
     path = tmp_path / "kept.csv"
@@ -430,3 +433,27 @@ def test_size_options_refused_before_allocation(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == "" and "limit" in err
+
+
+def test_held_rows_refused_before_work(capsys, monkeypatch):
+    # sq holds every row of a range and histogram every bin until it writes:
+    # past the byte budget both refuse before the first factorization or edge
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(cli.arith, "factorize", work)
+    monkeypatch.setattr(np, "linspace", work)
+    rows = cli.arith._BYTE_BUDGET // cli._SQ_ROW_BYTES
+    bins = cli.arith._BYTE_BUDGET // cli._BIN_BYTES
+    for argv in (["sq", "1", "--to", str(rows + 1)],
+                 ["sq", "1", "--to", "200000000"],
+                 ["histogram", "--first", "10", "--bins", str(bins + 1)],
+                 ["histogram", "--first", "10", "--bins", "200000000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == "" and "budget" in err
+    # one item fewer is within the budget and reaches the work
+    for argv in (["sq", "1", "--to", str(rows)],
+                 ["histogram", "--first", "10", "--bins", str(bins)]):
+        with pytest.raises(AssertionError, match="worked before refusing"):
+            main(argv)

@@ -17,6 +17,7 @@ from modscatter.counting import (
     roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
+    sublinear_sums,
     sums_at,
     total_members,
     total_roots,
@@ -229,34 +230,62 @@ def test_checkpoints_refuse_int64_wrap(monkeypatch):
 
 def test_point_sums_match_sieve():
     rng = random.Random(7)
-    seg = counting._SEGMENT
-    pts = [*range(3001), *(rng.randrange(3001, 10**6) for _ in range(200)),
-           seg - 1, seg, seg + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1]
+    # both sides of the point-table cap and of the streamed-sieve segments,
+    # also for x // 2
+    ends = [k * size + d for size in (counting._POINT_TABLE, counting._SEGMENT)
+            for k in (1, 2) for d in (-1, 0, 1)]
+    pts = [*range(3001), *(rng.randrange(3001, 10**6) for _ in range(200)), *ends]
     sums = checkpoint_sums(pts)
     for x in pts:
         assert point_sums(x) == sums[x], x
 
 
+def _sweep(x, points):
+    """The points `count --x X --points K` evaluates (log-spaced from 10)."""
+    pts = sorted({int(v) for v in np.geomspace(10.0, x, points)})
+    return pts if pts[-1] == x else [*pts, x]
+
+
+@pytest.mark.parametrize("top,points", [(10**7, 300), (123_457, 4), (123_457, 200)])
+def test_shared_tables_match_sieve(top, points):
+    # one table set, sized by the largest point, serves points on both sides
+    # of its end b, halvings that cross it or equal another point above it,
+    # and repeated points
+    b = counting._table_size(top)
+    above = [v for d in range(1, 5) for v in (b + d, 2 * (b + d), 2 * (b + d) + 1)]
+    pts = [0, 1, 1, 2, b - 1, b, b, b + 1, 2 * b, 2 * b + 1, *above, *_sweep(top, points), top]
+    sums = checkpoint_sums(pts)
+    assert sublinear_sums(pts) == sums
+    assert sums_at(pts) == sums
+    assert sublinear_sums([0]) == {0: (0, 0, 0)}
+    assert sublinear_sums([]) == {}
+
+
 def test_point_sums_beyond_int64():
     # Phi(6e9) exceeds 2**63; the constant comes from the plain Python-int
     # totient-sum recursion over a sieved table to 2**22.
-    total, _, members = point_sums(6 * 10**9)
+    x = 6 * 10**9
+    total, odd, members = point_sums(x)
     assert 2 * members - total == 10942687833564150102
+    assert sums_at([x])[x] == (total, odd, members)
 
 
 def test_sums_at_picks_the_cheaper_route(monkeypatch):
     routes = []
-    for name in ("point_sums", "checkpoint_sums"):
+    for name in ("sublinear_sums", "checkpoint_sums"):
         def spy(arg, fn=getattr(counting, name), name=name):
-            routes.append(name)
+            routes.append((name, list(arg)))
             return fn(arg)
         monkeypatch.setattr(counting, name, spy)
     sparse = [10, 1000, 10**5, 10**6]
     dense = list(range(10**5 - 300, 10**5 + 1))
+    sweep = _sweep(10**7, 300)
     assert sums_at(sparse) == checkpoint_sums(sparse)
-    assert routes == ["point_sums"] * 4
+    assert routes == [("sublinear_sums", sparse)]  # once, with every point
     assert sums_at(dense) == checkpoint_sums(dense)
-    assert routes[4:] == ["checkpoint_sums"]
+    assert routes[1:] == [("checkpoint_sums", dense)]
+    assert sums_at(sweep) == checkpoint_sums(sweep)
+    assert routes[2:] == [("sublinear_sums", sweep)]
     assert sums_at([]) == {}
     with pytest.raises(ValueError):
         sums_at([5, -1])
