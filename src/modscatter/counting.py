@@ -12,15 +12,18 @@ limit, the totient phi(q) and the solution count of x^2 == -1 (mod q)
 and the geodesic count by sojourn bound, Pi(Y) = M(floor(sqrt(Y)/t0)),
 grows like 3Y/(2*pi^2*t0^2).
 
-A single x needs no sieve up to x.  The series of the root counts over all
-moduli is zeta(s)*beta(s)/zeta(2s), so with R(y) = sum_{d <= y} chi4(d)*floor(y/d)
+A single x needs no sieve up to x.  roots(q) counts the primitive lattice
+points a >= 1, c >= 0 with a^2 + c^2 = q, and every lattice point is gcd(a, c)
+times a primitive one, so with R(y) = sum_{d <= y} chi4(d)*floor(y/d), the
+count of all such points of norm <= y,
 
-  T(x) = sum_{k <= sqrt(x)} mu(k) * R(floor(x/k^2)),
+  T(x) = R(x) - sum_{2 <= h <= sqrt(x)} T(floor(x/h^2)),
   t(x) = sum_{j >= 0} (-1)^j * T(floor(x/2^j)),
   M(x) = (Phi(x) + T(x)) / 2,   Phi(x) = sum_{q <= x} phi(q),
 
-with R(y) by the Dirichlet hyperbola method and Phi by the totient-sum
-recursion (Deleglise-Rivat), both on top of tables sieved up to about x^(2/3).
+with R(y) by the Dirichlet hyperbola method.  T and Phi run the same table
+recursion (Deleglise-Rivat for Phi) on the root and totient prefix sums of
+one table sieved up to about x^(2/3).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .scatterset import _require_t0
 # keep the per-segment loop over the primes a small share of the work; 2^20
 # was the fastest sieve to 2e8 and as fast as any to 1e7.
 _SEGMENT = 1 << 20
-# The sublinear tables stop below this many entries.  sublinear_sums adds
+# The sublinear table stops below this many entries.  sublinear_sums adds
 # table values in int64 blocks of at most x*_POINT_TABLE/2, which stays below
 # 2**63 up to _POINT_SUMS_MAX; its running totals are Python ints.
 _POINT_TABLE = 1 << 22
@@ -171,7 +174,7 @@ def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     if top > _INT64_ROOT:
         raise ValueError(
             f"x = {top} exceeds {_INT64_ROOT}, where the sieve's int64 "
-            "prefix sums would wrap; use point_sums for single points"
+            "prefix sums would wrap; use sublinear_sums"
         )
     tau: dict[int, int] = {}
     members: dict[int, int] = {}
@@ -192,47 +195,30 @@ def _chi4_divisor_sum(y: int) -> int:
     - u*C(u), where u = isqrt(y) and C(t) = sum_{d <= t} chi4(d) is 1 exactly
     when t mod 4 is 1 or 2."""
     u = math.isqrt(y)
-    head = y // np.arange(1, u + 1, 2, dtype=np.int64)  # odd d: chi4 = +1, -1, ...
+    quot = y // np.arange(1, u + 1, dtype=np.int64)
+    head = quot[0::2]  # odd d: chi4 = +1, -1, ...
     total = int(head[0::2].sum()) - int(head[1::2].sum())
-    t = (y // np.arange(1, u + 1, dtype=np.int64)) & 3
+    t = quot & 3
     total += int(np.count_nonzero((t == 1) | (t == 2)))
     return total - u * (u % 4 in (1, 2))
 
 
-def _lattice_prefix(b: int) -> np.ndarray:
-    """R(y) for y <= b, read off lattice points: R(y) counts the pairs
-    a >= 1, c >= 0 with a^2 + c^2 <= y (each n has r2(n)/4 of them)."""
-    s = math.isqrt(b)
-    sq = np.arange(s + 1, dtype=np.int64) ** 2
-    n = (sq[1:, None] + sq[None, :]).ravel()
-    return np.cumsum(np.bincount(n[n <= b], minlength=b + 1))
-
-
-def _mobius(n: int, primes: list[int]) -> np.ndarray:
-    """mu(k) for k <= n; `primes` must cover every prime up to n."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    for p in primes:
-        if p > n:
-            break
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    return mu
-
-
-def _roots_sum(x: int, mu: np.ndarray, r_small: np.ndarray) -> int:
-    """T(x) = sum_k mu(k)*R(floor(x/k^2)), reading R from the table where
-    floor(x/k^2) falls inside it."""
-    b = r_small.size - 1
-    kmax = math.isqrt(x)
-    kbig = math.isqrt(x // (b + 1))  # floor(x/k^2) > b exactly for k <= kbig
-    total = 0
-    for k in range(1, kbig + 1):
-        if mu[k]:
-            total += int(mu[k]) * _chi4_divisor_sum(x // (k * k))
-    k = np.arange(kbig + 1, kmax + 1, dtype=np.int64)
-    total += int((mu[kbig + 1 : kmax + 1] * r_small[x // (k * k)]).sum())
-    return total
+def _roots_sum(x: int, roots_cum: np.ndarray) -> int:
+    """T(x) by T(n) = R(n) - sum_{h >= 2} T(floor(n/h^2)), evaluated at
+    n = floor(x/g^2) for every g with n above the table, largest g first."""
+    b = roots_cum.size - 1
+    top = math.isqrt(x // (b + 1))  # floor(x/g^2) > b exactly for g <= top
+    if top == 0:
+        return roots_cum.item(x)
+    k = np.arange(top + 1, math.isqrt(x) + 1, dtype=np.int64)
+    small = roots_cum[x // (k * k)]  # small[k - top - 1] = T(floor(x/k^2))
+    big = [0] * (top + 1)  # big[g] = T(floor(x/g^2))
+    for g in range(top, 0, -1):
+        # floor(n/h^2) = floor(x/(g*h)^2) is big[g*h] or, once g*h > top, small
+        first = (top // g + 1) * g
+        big[g] = (_chi4_divisor_sum(x // (g * g)) - sum(big[2 * g : first : g])
+                  - int(small[first - top - 1 :: g].sum()))
+    return big[1]
 
 
 def _totient_sum(x: int, phi_cum: np.ndarray) -> int:
@@ -259,7 +245,7 @@ def _totient_sum(x: int, phi_cum: np.ndarray) -> int:
 
 
 def _table_size(top: int) -> int:
-    """Largest value b the sublinear tables cover for points up to top:
+    """Largest value b the sublinear table covers for points up to top:
     about top^(2/3), capped below _POINT_TABLE, never below isqrt(top)."""
     return max(min(round(top ** (2 / 3)), _POINT_TABLE - 1), math.isqrt(top))
 
@@ -268,11 +254,11 @@ def sublinear_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     """The checkpoint_sums tuple at each point, without sieving to the
     largest point.
 
-    One table set serves every point: the primes, mu, R and the phi and root
-    prefix sums, sieved up to b = _table_size(max(points)).  A point or
-    halving up to b is read off the prefix sums; only those above b run the
-    hyperbola sum or the totient recursion, in about x^(2/3) time each.  The
-    results are exact Python ints for every point up to 10**12.
+    One table serves every point: the phi and root prefix sums, sieved up to
+    b = _table_size(max(points)).  A point or halving up to b is read off
+    them; only those above b run the root-sum or the totient recursion, in
+    about x^(2/3) time each.  The results are exact Python ints for every
+    point up to 10**12.
     """
     want = _sorted_points(points)
     if not want:
@@ -280,27 +266,25 @@ def sublinear_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     top = want[-1]
     if top > _POINT_SUMS_MAX:
         raise ValueError(f"x = {top} exceeds {_POINT_SUMS_MAX}, the exact range of sublinear_sums")
-    b, root = _table_size(top), math.isqrt(top)
-    primes = _small_primes(root)
-    mu = _mobius(root, primes)
-    r_small = _lattice_prefix(b)
-    phi_cum, roots = _phi_roots_segment(0, b + 1, primes)
+    b = _table_size(top)
+    # Primes to sqrt(b) would do, but every entry left with a cofactor above
+    # the last prime goes through the segment's int64 cofactor pass; primes
+    # to sqrt(top) leave far fewer there and keep the peak memory lower.
+    phi_cum, roots = _phi_roots_segment(0, b + 1, _small_primes(math.isqrt(top)))
     np.cumsum(phi_cum, out=phi_cum)
     roots_cum = np.cumsum(roots, dtype=np.int64)
-    big_totals: dict[int, int] = {}  # T(v) for the v above b, shared by the points
+    totals: dict[int, int] = {}  # T(v), shared by the points
 
     def total(v: int) -> int:
-        if v <= b:
-            return roots_cum.item(v)
-        if v not in big_totals:
-            big_totals[v] = _roots_sum(v, mu, r_small)
-        return big_totals[v]
+        if v not in totals:
+            totals[v] = _roots_sum(v, roots_cum)
+        return totals[v]
 
     sums = {}
     for x in want:
         halves = [total(x >> j) for j in range(x.bit_length())]
         odd = sum(halves[0::2]) - sum(halves[1::2])
-        phi_sum = phi_cum.item(x) if x <= b else _totient_sum(x, phi_cum)
+        phi_sum = _totient_sum(x, phi_cum)
         s = total(x)
         sums[x] = (s, odd, (phi_sum + s) // 2)
     return sums
@@ -315,13 +299,13 @@ def point_sums(x: int) -> tuple[int, int, int]:
 
 def _sublinear_work(want: list[int]) -> float:
     """Cost of sublinear_sums(want) in streamed-sieve entries (about 90 ns
-    each on one core).  Fitted to timings on one core: the table set costs
-    2 entries per value up to b; a point x above b, with m = x // (b + 1),
+    each on one core).  Fitted to timings on one core: the table costs 3400
+    plus 2 entries per value up to b; a point x above b, with m = x // (b + 1),
     adds its totient recursion (100 per step for m steps, 0.27 per element
-    of its arrays, about x/sqrt(b) of them) and the hyperbola sums of its
-    m.bit_length() halvings above b (270 each, 550*sqrt(m) for their loops
-    over k, 0.34*sqrt(x)*(1 + log m) for their arrays); every point adds
-    135 for its reads."""
+    of its arrays, about x/sqrt(b) of them) and the root-sum recursions of
+    its m.bit_length() halvings above b (270 each, 550*sqrt(m) for their
+    steps over g, 0.34*sqrt(x)*(1 + log m) for their hyperbola sums and
+    table reads); every point adds 135 for its reads."""
     b = _table_size(want[-1])
     work = 3400 + 2 * b + 135 * len(want)
     for x in want:
@@ -334,12 +318,13 @@ def _sublinear_work(want: list[int]) -> float:
 
 def sums_at(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     """The checkpoint_sums tuple at each point, from sublinear_sums when its
-    estimated cost is below that of one streamed sieve to the largest point,
-    else from checkpoint_sums."""
+    estimated cost is below that of one streamed sieve to the largest point
+    or when that point is past the sieve's int64 bound, else from
+    checkpoint_sums."""
     want = _sorted_points(points)
     if not want:
         return {}
-    if _sublinear_work(want) < want[-1]:
+    if want[-1] > _INT64_ROOT or _sublinear_work(want) < want[-1]:
         return sublinear_sums(want)
     return checkpoint_sums(want)
 

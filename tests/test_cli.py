@@ -175,6 +175,11 @@ def test_count_single_point_matches_sweep(capsys, monkeypatch, kind):
     assert routes[1] == ("sublinear_sums", len(sparse_rows) - 1)
     assert [name for name, _ in routes[2:]] == ["checkpoint_sums"]
     assert single_rows[1] == sparse_rows[-1] == dense_rows[-1]
+    # past the sieve's int64 bound the dense sweep takes the sublinear route
+    monkeypatch.setattr(counting, "_INT64_ROOT", 50_000)
+    code, past_bound, _ = run(capsys, "count", kind, *target, "--points", "200")
+    assert code == 0 and past_bound == dense
+    assert [name for name, _ in routes[3:]] == ["sublinear_sums"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -261,6 +261,34 @@ def test_shared_tables_match_sieve(top, points):
     assert sublinear_sums([]) == {}
 
 
+def _roots_cum(n):
+    """T(0..n) as the prefix sums of the segment sieve's root counts."""
+    _, roots = counting._phi_roots_segment(0, n + 1, counting._small_primes(math.isqrt(n)))
+    return np.cumsum(roots, dtype=np.int64)
+
+
+@pytest.mark.parametrize("b", [1, 10, 1000])
+def test_roots_sum_recursion_at_depth(b):
+    # tables far below _table_size reach the deep levels of the recursion:
+    # many g above each other, each level reading the ones below it
+    expect = _roots_cum(10**6)
+    rng = random.Random(b)
+    xs = [*range(3001), *(rng.randrange(3001, 10**6 + 1) for _ in range(20)), 10**6]
+    for x in xs:
+        assert counting._roots_sum(x, expect[: b + 1]) == expect[x], x
+
+
+def test_roots_sum_at_the_point_range_end():
+    # S and tau at 10**12 from the root-sum recursion and its halvings over
+    # the table sublinear_sums builds; both constants were first computed by
+    # Moebius inversion over the lattice count R
+    x = counting._POINT_SUMS_MAX
+    roots_cum = _roots_cum(counting._table_size(x))
+    halves = [counting._roots_sum(x >> j, roots_cum) for j in range(x.bit_length())]
+    assert halves[0] == 477_464_828_496
+    assert sum(halves[0::2]) - sum(halves[1::2]) == 318_309_886_127
+
+
 def test_point_sums_beyond_int64():
     # Phi(6e9) exceeds 2**63; the constant comes from the plain Python-int
     # totient-sum recursion over a sieved table to 2**22.
@@ -289,6 +317,13 @@ def test_sums_at_picks_the_cheaper_route(monkeypatch):
     assert sums_at([]) == {}
     with pytest.raises(ValueError):
         sums_at([5, -1])
+    # past the sieve's int64 bound only sublinear_sums can answer, however dense
+    expect = checkpoint_sums(dense)
+    monkeypatch.setattr(counting, "_INT64_ROOT", dense[0] - 1)
+    assert sums_at(dense) == expect
+    assert routes[3:] == [("sublinear_sums", dense)]
+    with pytest.raises(ValueError, match="sublinear_sums"):
+        checkpoint_sums(dense)
 
 
 def test_point_sums_refuse_out_of_range():
