@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import json
 import math
@@ -70,16 +68,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _cell(v):
-    if isinstance(v, float):
-        return format(v, ".10g")
-    if isinstance(v, (list, tuple)):
-        return ";".join(str(x) for x in v)
-    return v
-
-
-def _emit(columns: list[str], chunks: Iterable[str], args) -> None:
-    """Write one table to --out or stdout as its text chunks come.
+def _emit(columns: list[str], chunks: Iterable[str], fmt: str, path: str | None) -> None:
+    """Write one table to the file at path (stdout when None) as its text
+    chunks come.
 
     A chunk holds whole rows: CSV lines, or JSON records as they sit inside
     json.dumps(rows, indent=2).  The CSV header, the JSON brackets and the
@@ -87,8 +78,8 @@ def _emit(columns: list[str], chunks: Iterable[str], args) -> None:
     whole table formatted at once.  The file opens before the first chunk
     is made: a command makes its checks before it calls this.
     """
-    as_json = args.format == "json"
-    out = _open_output(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    as_json = fmt == "json"
+    out = _open_output(path) if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         if not as_json:
             fh.write(",".join(columns) + "\n")
@@ -105,28 +96,53 @@ def _emit(columns: list[str], chunks: Iterable[str], args) -> None:
 _CHUNK_ROWS = 1 << 16
 
 
-def _emit_rows(columns: list[str], rows: Iterable[dict], args) -> None:
-    """Write dict rows: CSV cells through _cell, or json.dumps records."""
+def _cells(values, as_json: bool) -> list[str]:
+    """The text of one column slice, by the type of its values: floats as
+    format(v, ".10g") in CSV and as json.dumps writes finite ones, lists
+    joined by ";" or nested as json.dumps(indent=2) nests them, strs as they
+    are in CSV (none holds a comma, quote or newline, which csv.writer would
+    quote) and quoted in JSON, the rest through str."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    v = values[0]
+    if isinstance(v, float):
+        if as_json:
+            return list(map(float.__repr__, values))
+        return list(map(format, values, itertools.repeat(".10g")))
+    if isinstance(v, list):  # of ints, whose JSON text is their str
+        if as_json:
+            return ["[\n      " + ",\n      ".join(map(str, x)) + "\n    ]" if x else "[]"
+                    for x in values]
+        return [";".join(map(str, x)) for x in values]
+    if isinstance(v, str) and as_json:
+        quoted = {x: json.dumps(x) for x in set(values)}
+        return [quoted[x] for x in values]
+    return list(map(str, values))
+
+
+def _emit_columns(columns: list[str], values: list, fmt: str, path: str | None) -> None:
+    """Write a table given as one sequence (a list or numpy array) per
+    column, with the bytes of csv.writer or json.dumps(rows, indent=2) over
+    its rows: each slice of _CHUNK_ROWS rows is formatted a column at a
+    time, and its rows are filled into one %-template."""
+    as_json = fmt == "json"
+    if as_json:
+        row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in columns) + "\n  }"
+    else:
+        row = ",".join(["%s"] * len(columns)) + "\n"
+    join = ",\n" if as_json else ""
 
     def chunks():
-        it = iter(rows)
-        while batch := list(itertools.islice(it, _CHUNK_ROWS)):
-            if args.format == "json":
-                records = [{c: r[c] for c in columns} for r in batch]
-                yield json.dumps(records, indent=2)[2:-2]  # without "[\n" and "\n]"
-            else:
-                buf = io.StringIO()
-                csv.writer(buf, lineterminator="\n").writerows(
-                    [_cell(r[c]) for c in columns] for r in batch
-                )
-                yield buf.getvalue()
+        for i in range(0, len(values[0]), _CHUNK_ROWS):
+            cells = [_cells(v[i:i + _CHUNK_ROWS], as_json) for v in values]
+            yield join.join([row % r for r in zip(*cells)])
 
-    _emit(columns, chunks(), args)
+    _emit(columns, chunks(), fmt, path)
 
 
 def _emit_family(blocks, args) -> None:
     """Write the rows fraction_record(p/q, t0) of every member of the blocks,
-    with the bytes _emit_rows would give them.  The sojourn depends on q
+    with the bytes _emit_columns would give them.  The sojourn depends on q
     alone, so it is formatted once per block."""
     as_json = args.format == "json"
     join = ",\n" if as_json else ""
@@ -141,13 +157,13 @@ def _emit_family(blocks, args) -> None:
                          for c in kinds]
             else:
                 head = f"{q},"
-                tails = [f",{c},{_cell(sojourn)}\n" for c in kinds]
+                tails = [f",{c},{sojourn:.10g}\n" for c in kinds]
             for i in range(0, p.size, _CHUNK_ROWS):
                 cut = slice(i, i + _CHUNK_ROWS)
                 yield join.join([head + str(n) + tails[k] for n, k in
                                  zip(p[cut].tolist(), self_paired[cut].tolist())])
 
-    _emit(["q", "p", "class", "sojourn"], chunks(), args)
+    _emit(["q", "p", "class", "sojourn"], chunks(), args.format, args.out)
 
 
 def _open_output(path: str):
@@ -165,10 +181,10 @@ def _check_cap(n: int, args, what: str) -> None:
 
 
 # Bytes a command holds per item of its output before it writes, from peak
-# RSS at two sizes: an `sq` row (its dict and solutions list) 310-390 B, a
-# histogram bin 32 B (edge and count, and np.histogram's temporaries).
+# RSS at two sizes: an `sq` row (its count and solutions list) 115-390 B, a
+# histogram bin 31-35 B (edge and count, and np.histogram's temporaries).
 _SQ_ROW_BYTES = 390
-_BIN_BYTES = 32
+_BIN_BYTES = 35
 
 
 def _check_budget(n: int, item_bytes: int, what: str) -> None:
@@ -190,8 +206,9 @@ def _cmd_sq(args) -> None:
         _check_cap(last, args, "modulus")
     # every row is held until the last: a --brute refusal mid-range writes nothing
     _check_budget(last - args.q + 1, _SQ_ROW_BYTES, "rows")
-    rows = []
-    for q in range(args.q, last + 1):
+    qs = range(args.q, last + 1)
+    counts, solutions = [], []
+    for q in qs:
         if args.brute:
             sols = arith.sqrt_minus_one_brute(q)
             s = 1 if q == 1 else len(sols)
@@ -199,8 +216,9 @@ def _cmd_sq(args) -> None:
             f = arith.factorize(q)
             s = arith.count_sqrt_minus_one(f)
             sols = arith.sqrt_minus_one_crt(f) if (s and q > 1) else []
-        rows.append({"q": q, "s": s, "solutions": sols})
-    _emit_rows(["q", "s", "solutions"], rows, args)
+        counts.append(s)
+        solutions.append(sols)
+    _emit_columns(["q", "s", "solutions"], [qs, counts, solutions], args.format, args.out)
 
 
 def _cmd_gq(args) -> None:
@@ -238,28 +256,37 @@ def _cmd_count(args) -> None:
         else:
             lo = min(4.0 * args.t0 * args.t0, args.Y)
             ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
+        if not counting.main_term(kind, ys[0], args.t0) > 0:
+            raise ValueError(f"the first-order law of pi is not positive at Y = {ys[0]} "
+                             f"with t0 = {args.t0}")
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
         sums = _sums_at(thresholds.values(), args)
         exact = [(y, sums[thresholds[y]][2]) for y in ys]
     else:
         if args.x is None:
             raise ValueError(f"kind {kind!r} needs --x")
+        if args.x < 1:
+            raise ValueError(f"--x must be at least 1, got {args.x}")
         xs = _log_spaced(args.x, args.points)
         sums = _sums_at(xs, args)
         column = {"S": 0, "tau": 1, "psi": 2}[kind]
         exact = [(float(x), sums[x][column]) for x in xs]
-    rows = []
-    for x, n in exact:
-        r = counting.AsymptoticReport(kind, x, n, counting.main_term(kind, x, args.t0))
-        rows.append({"x": r.x, "exact": r.exact, "predicted": r.predicted,
-                     "ratio": r.ratio, "abs_error": r.abs_error})
-    _emit_rows(["x", "exact", "predicted", "ratio", "abs_error"], rows, args)
+    reports = [counting.AsymptoticReport(kind, x, n, counting.main_term(kind, x, args.t0))
+               for x, n in exact]
+    columns = ["x", "exact", "predicted", "ratio", "abs_error"]
+    _emit_columns(columns, [[getattr(r, c) for r in reports] for c in columns],
+                  args.format, args.out)
 
 
 def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
-    pts = set(points)
-    for x in pts:
-        _check_cap(x, args, "evaluation point")
+    pts = sorted(set(points))
+    _check_cap(pts[-1], args, "evaluation point")
+    # Below the sieve's int64 bound the route taken costs at most one sieve
+    # to the largest point; above it only the sublinear route can answer,
+    # and its cost grows with the number of points as well.
+    if pts[-1] > counting._INT64_ROOT:
+        work = math.ceil(counting._sublinear_work(pts))
+        _check_cap(work, args, "work in sieve entries")
     return counting.sums_at(pts)
 
 
@@ -272,16 +299,9 @@ def _cmd_histogram(args) -> None:
     for q, p, _ in scatterset.family_blocks(args.first):
         # p / q rounds as float(Fraction(p, q)): both operands are exact floats
         counts += np.histogram(p / q, bins=edges)[0]
-    rows = (
-        {
-            "bin_left": float(edges[i]),
-            "bin_right": float(edges[i + 1]),
-            "count": int(counts[i]),
-            "density": counts[i] * args.bins / args.first,
-        }
-        for i in range(args.bins)
-    )
-    _emit_rows(["bin_left", "bin_right", "count", "density"], rows, args)
+    _emit_columns(["bin_left", "bin_right", "count", "density"],
+                  [edges[:-1], edges[1:], counts, counts * args.bins / args.first],
+                  args.format, args.out)
 
 
 def _cmd_trace(args) -> None:
@@ -291,33 +311,14 @@ def _cmd_trace(args) -> None:
     measured = trace.measured_sojourn
     predicted = trace.predicted_sojourn
     if args.dump_samples:
-        with _open_output(args.dump_samples) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["t", "x_lift", "y_lift", "x_reduced", "y_reduced", "in_core"]
-            )
-            x_lift = format(float(args.w), ".10g")
-            for k in range(len(trace.t)):
-                writer.writerow(
-                    [
-                        format(float(trace.t[k]), ".10g"),
-                        x_lift,
-                        format(float(trace.lift_y[k]), ".10g"),
-                        format(float(trace.reduced[k].real), ".10g"),
-                        format(float(trace.reduced[k].imag), ".10g"),
-                        int(trace.in_core[k]),
-                    ]
-                )
-    row = {
-        "w": str(args.w),
-        "q": args.w.denominator,
-        "t0": args.t0,
-        "step": args.step,
-        "measured": measured,
-        "predicted": predicted,
-        "abs_gap": abs(measured - predicted),
-    }
-    _emit_rows(["w", "q", "t0", "step", "measured", "predicted", "abs_gap"], [row], args)
+        _emit_columns(["t", "x_lift", "y_lift", "x_reduced", "y_reduced", "in_core"],
+                      [trace.t, np.broadcast_to(float(args.w), trace.t.shape), trace.lift_y,
+                       trace.reduced.real, trace.reduced.imag, trace.in_core.view(np.uint8)],
+                      "csv", args.dump_samples)
+    row = (str(args.w), args.w.denominator, args.t0, args.step,
+           measured, predicted, abs(measured - predicted))
+    _emit_columns(["w", "q", "t0", "step", "measured", "predicted", "abs_gap"],
+                  [[v] for v in row], args.format, args.out)
 
 
 def _cmd_series(args) -> None:
@@ -333,28 +334,19 @@ def _cmd_series(args) -> None:
             abs(euler.value - closed.value),
             abs(direct.value - closed.value),
         )
-        rows.append(
-            {
-                "s": s,
-                "F_direct": direct.value,
-                "F_euler": euler.value,
-                "F_closed": closed.value,
-                "max_pairwise_gap": gap,
-            }
-        )
-    _emit_rows(["s", "F_direct", "F_euler", "F_closed", "max_pairwise_gap"], rows, args)
+        rows.append((s, direct.value, euler.value, closed.value, gap))
+    _emit_columns(["s", "F_direct", "F_euler", "F_closed", "max_pairwise_gap"],
+                  list(zip(*rows)), args.format, args.out)
 
 
 def _cmd_equiv(args) -> None:
     witness = scatterset.equivalence_witness(args.w1, args.w2)
     if witness is None:
-        row = {"w1": str(args.w1), "w2": str(args.w2), "result": "distinct",
-               "a": "", "b": "", "c": "", "d": ""}
+        row = (str(args.w1), str(args.w2), "distinct", "", "", "", "")
     else:
-        a, b, c, d = witness.astuple()
-        row = {"w1": str(args.w1), "w2": str(args.w2), "result": "equivalent",
-               "a": a, "b": b, "c": c, "d": d}
-    _emit_rows(["w1", "w2", "result", "a", "b", "c", "d"], [row], args)
+        row = (str(args.w1), str(args.w2), "equivalent", *witness.astuple())
+    _emit_columns(["w1", "w2", "result", "a", "b", "c", "d"],
+                  [[v] for v in row], args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import _BYTE_BUDGET, MemoryBudgetExceeded
 from .scatterset import UnimodularMatrix, _require_t0, partner, sojourn_time
 
 DEFAULT_EPS = 1e-9
@@ -33,6 +34,9 @@ MAX_REDUCTION_STEPS = 256
 
 _INVERT = UnimodularMatrix(0, -1, 1, 0)  # z -> -1/z
 _SHIFT = UnimodularMatrix(1, 1, 0, 1)    # z -> z + 1
+# Bytes a trace holds per sample (its arrays and the reduction's working
+# copies), from peak RSS at 2.8e4, 2.8e5 and 1.4e6 samples.
+_SAMPLE_BYTES = 110
 
 
 class ReductionError(RuntimeError):
@@ -177,7 +181,9 @@ def trace_sojourn(
     in-core t minus first in-core t, matches 2*log(q*t0) to within 2*step
     plus the reduction tolerance.  Samples with y < 1/q are mapped first by
     the witness (a, -(1 + a*p)/q; q, -p), a the partner of p, which sends
-    p/q + iy to a/q + i/(q**2*y).  A q whose exit height underflows is refused.
+    p/q + iy to a/q + i/(q**2*y).  A q whose exit height underflows is
+    refused, and so is a sample count whose arrays would pass the byte
+    budget, before anything is allocated.
     """
     w = Fraction(w)
     if not 0 <= w < 1:
@@ -192,7 +198,13 @@ def trace_sojourn(
     y_end = 1.0 / (tail_factor * t0 * q * q)
     if not 0 < y_end < math.inf:
         raise ValueError(f"q = {q} is too large: the exit height underflows a float")
-    t = np.arange(math.ceil(math.log(y_start / y_end) / step) + 1) * step
+    samples = math.ceil(math.log(y_start / y_end) / step) + 1
+    if samples * _SAMPLE_BYTES > _BYTE_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"{samples} samples need about {samples * _SAMPLE_BYTES} bytes, "
+            f"over the budget of {_BYTE_BUDGET}"
+        )
+    t = np.arange(samples) * step
     y = y_start * np.exp(-t)
     z = float(w) + 1j * y
     low = y < 1.0 / q

@@ -33,14 +33,15 @@ class SeriesValue:
 def riemann_zeta(s: float, terms: int = 100_000) -> tuple[float, float]:
     """(zeta(s), error bound) for s > 1: direct sum plus the first
     Euler-Maclaurin corrections."""
-    if s <= 1:
-        raise ValueError("s must exceed 1")
+    if not 1 < s < math.inf:
+        raise ValueError(f"s must be a finite number above 1, got {s}")
     n = np.arange(1, terms + 1, dtype=np.float64)
     head = float(np.sum(n ** (-s)))
     big_n = float(terms)
     # sum_{n > N} n^-s = N^(1-s)/(s-1) - N^-s/2 + s*N^(-s-1)/12 - ...
     tail = big_n ** (1 - s) / (s - 1) - 0.5 * big_n ** (-s) + s * big_n ** (-s - 1) / 12.0
-    err = (s * (s + 1) * (s + 2)) * big_n ** (-s - 3) / 720.0 + 1e-15 * head
+    # N^(-s-3) first: for huge s it underflows to 0 before s^3 can overflow
+    err = s * big_n ** (-s - 3) * (s + 1) * (s + 2) / 720.0 + 1e-15 * head
     return head + tail, err
 
 

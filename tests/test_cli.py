@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modscatter import cli, counting, scatterset
+from modscatter import cli, counting, hyperbolic, lfunction, scatterset
 from modscatter.cli import main
 
 
@@ -319,16 +320,24 @@ def test_module_entry_point():
 
 # Byte-identity of the streamed family output ------------------------------
 
+def oracle_cell(v):
+    if isinstance(v, float):
+        return format(v, ".10g")
+    if isinstance(v, (list, tuple)):
+        return ";".join(str(x) for x in v)
+    return v
+
+
 def oracle_text(columns, rows, fmt):
     """The whole-table emitter the streamed one replaced: every row a dict,
-    through csv.writer and _cell, or json.dumps(indent=2)."""
+    through csv.writer and oracle_cell, or json.dumps(indent=2)."""
     if fmt == "json":
         return json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for r in rows:
-        writer.writerow([cli._cell(r[c]) for c in columns])
+        writer.writerow([oracle_cell(r[c]) for c in columns])
     return buf.getvalue()
 
 
@@ -462,3 +471,186 @@ def test_held_rows_refused_before_work(capsys, monkeypatch):
                  ["histogram", "--first", "10", "--bins", str(bins)]):
         with pytest.raises(AssertionError, match="worked before refusing"):
             main(argv)
+
+
+# Byte-identity of the columnar tables ---------------------------------------
+
+def oracle_sq(first, last):
+    rows = []
+    for q in range(first, last + 1):
+        sols = cli.arith.sqrt_minus_one_brute(q)
+        rows.append({"q": q, "s": 1 if q == 1 else len(sols), "solutions": sols})
+    return ["q", "s", "solutions"], rows
+
+
+def oracle_count(kind, x, points):
+    xs = cli._log_spaced(x, points)
+    sums = counting.checkpoint_sums(xs)
+    rows = []
+    for v in xs:
+        exact = sums[v][{"S": 0, "tau": 1, "psi": 2}[kind]]
+        predicted = counting.main_term(kind, float(v))
+        rows.append({"x": float(v), "exact": exact, "predicted": predicted,
+                     "ratio": exact / predicted, "abs_error": abs(exact - predicted)})
+    return ["x", "exact", "predicted", "ratio", "abs_error"], rows
+
+
+def oracle_series(ss, terms):
+    rows = []
+    for s in ss:
+        a = lfunction.series_by_sum(s, terms).value
+        b = lfunction.series_by_euler_product(s, terms).value
+        c = lfunction.series_by_zeta_identity(s).value
+        rows.append({"s": s, "F_direct": a, "F_euler": b, "F_closed": c,
+                     "max_pairwise_gap": max(abs(a - b), abs(b - c), abs(a - c))})
+    return ["s", "F_direct", "F_euler", "F_closed", "max_pairwise_gap"], rows
+
+
+def oracle_equiv(w1, w2):
+    w1, w2 = Fraction(w1), Fraction(w2)
+    witness = scatterset.equivalence_witness(w1, w2)
+    a, b, c, d = witness.astuple() if witness else ("",) * 4
+    row = {"w1": str(w1), "w2": str(w2), "result": "equivalent" if witness else "distinct",
+           "a": a, "b": b, "c": c, "d": d}
+    return ["w1", "w2", "result", "a", "b", "c", "d"], [row]
+
+
+def oracle_trace(w, t0, step):
+    tr = hyperbolic.trace_sojourn(Fraction(w), t0, step=step)
+    m, p = tr.measured_sojourn, tr.predicted_sojourn
+    row = {"w": str(Fraction(w)), "q": Fraction(w).denominator, "t0": t0, "step": step,
+           "measured": m, "predicted": p, "abs_gap": abs(m - p)}
+    return ["w", "q", "t0", "step", "measured", "predicted", "abs_gap"], [row]
+
+
+TABLES = [
+    # q = 1 (no solutions listed), 2 (one), 3 (none), 5, 10, 25 (several)
+    (["sq", "1", "--to", "30"], lambda: oracle_sq(1, 30)),
+    (["sq", "65"], lambda: oracle_sq(65, 65)),
+    (["count", "S", "--x", "5000", "--points", "40"], lambda: oracle_count("S", 5000, 40)),
+    (["count", "tau", "--x", "777"], lambda: oracle_count("tau", 777, 1)),
+    (["count", "psi", "--x", "3000", "--points", "12"], lambda: oracle_count("psi", 3000, 12)),
+    (["series", "1.6", "2", "2.5", "3", "4", "6", "9", "12.5", "--terms", "5000"],
+     lambda: oracle_series([1.6, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 12.5], 5000)),
+    (["equiv", "1/5", "4/5"], lambda: oracle_equiv("1/5", "4/5")),
+    (["equiv", "1/5", "2/5"], lambda: oracle_equiv("1/5", "2/5")),
+    (["trace", "2/5", "--t0", "3"], lambda: oracle_trace("2/5", 3.0, 1e-3)),
+    (["trace", "253/254", "--t0", "1.5", "--step", "0.01"],
+     lambda: oracle_trace("253/254", 1.5, 0.01)),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv,oracle", TABLES, ids=[" ".join(a) for a, _ in TABLES])
+def test_columnar_tables_match_oracle(capsys, monkeypatch, argv, oracle, fmt, chunk):
+    if chunk:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    columns, rows = oracle()
+    assert out == oracle_text(columns, rows, fmt)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("w,t0,step", [("12345/99991", "3", "0.01"), ("1/3", "2", "0.01")])
+def test_dump_samples_match_csv_writer(capsys, monkeypatch, tmp_path, chunk, w, t0, step):
+    if chunk:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "samples.csv"
+    code, _, _ = run(capsys, "trace", w, "--t0", t0, "--step", step,
+                     "--dump-samples", str(path))
+    assert code == 0
+    tr = hyperbolic.trace_sojourn(Fraction(w), float(t0), step=float(step))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x_lift", "y_lift", "x_reduced", "y_reduced", "in_core"])
+    for k in range(len(tr.t)):
+        writer.writerow([format(float(v), ".10g") for v in
+                         (tr.t[k], Fraction(w), tr.lift_y[k], tr.reduced[k].real,
+                          tr.reduced[k].imag)] + [int(tr.in_core[k])])
+    assert path.read_text() == buf.getvalue()
+
+
+# Refusals of inputs a count, a series or a trace cannot answer -------------
+
+def _refused_before_work(capsys, tmp_path, argv, code, word):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"earlier output\n")
+    got, out, err = run(capsys, *argv, "--out", str(path))
+    assert got == code and out == "" and err.startswith("error:") and word in err
+    assert path.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("kind", ["S", "tau", "psi"])
+@pytest.mark.parametrize("x", ["0", "0.5", "0.999"])
+def test_count_x_below_one_refused(capsys, monkeypatch, tmp_path, kind, x):
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(counting, "sums_at", work)
+    _refused_before_work(capsys, tmp_path, ["count", kind, "--x", x], 3, "--x")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--Y", "0"],
+    ["--Y", "-3"],
+    ["--Y", "5e-324"],  # the law 3Y/(2 (pi t0)^2) underflows to 0
+])
+def test_count_pi_without_a_positive_law_refused(capsys, monkeypatch, tmp_path, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(counting, "sums_at", work)
+    _refused_before_work(capsys, tmp_path, ["count", "pi", *argv], 3, "not positive")
+
+
+def test_count_work_past_the_sieve_bound_is_capped(capsys, monkeypatch, tmp_path):
+    # 73,963 points up to 5e9, past the sieve's int64 bound: the sublinear
+    # route's model puts them at 6.64e9 sieve entries
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(counting, "sublinear_sums", work)
+    argv = ["count", "S", "--x", "5e9", "--points", "100000"]
+    _refused_before_work(capsys, tmp_path, [*argv, "--limit", "6000000000"], 4, "work")
+    with pytest.raises(AssertionError, match="worked before refusing"):
+        main([*argv, "--limit", "10000000000"])
+
+
+@pytest.mark.parametrize("s", ["1e103", "8.98e307", "1e308"])
+def test_series_at_huge_s_is_finite_or_refused(capsys, s):
+    code, out, err = run(capsys, "series", s, "--terms", "1000")
+    if code == 0:
+        cells = out.strip().split("\n")[1].split(",")
+        assert all(np.isfinite(float(c)) for c in cells)
+    else:
+        assert code == 3 and out == "" and "finite" in err
+    value = float(s)
+    if math.isfinite(2 * value):
+        closed = lfunction.series_by_zeta_identity(value)
+        assert closed.value == 1.0 and math.isfinite(closed.tail_bound)
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            lfunction.series_by_zeta_identity(value)
+
+
+def test_trace_over_the_sample_budget_refused(capsys, monkeypatch, tmp_path):
+    def alloc(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "arange", alloc)
+    monkeypatch.setattr(np, "exp", alloc)
+    # about 2.8e7 samples, 3 GB
+    argv = ["trace", "12345/99991", "--t0", "3", "--step", "1e-6"]
+    dump = tmp_path / "samples.csv"
+    dump.write_bytes(b"earlier samples\n")
+    _refused_before_work(capsys, tmp_path, [*argv, "--dump-samples", str(dump)], 4, "budget")
+    assert dump.read_bytes() == b"earlier samples\n"
+    # the largest sample count within the budget reaches the allocation
+    span = math.log(2 * 3.0 * 10 * 3.0 * 99991**2)  # log(y_start / y_end)
+    most = cli.arith._BYTE_BUDGET // hyperbolic._SAMPLE_BYTES
+    with pytest.raises(AssertionError, match="allocated before refusing"):
+        hyperbolic.trace_sojourn(Fraction(12345, 99991), 3.0, step=span / (most - 1.5))
+    with pytest.raises(cli.arith.MemoryBudgetExceeded):
+        hyperbolic.trace_sojourn(Fraction(12345, 99991), 3.0, step=span / (most + 0.5))
