@@ -126,6 +126,35 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
+def _small_primes(n: int) -> np.ndarray:
+    """Primes up to n, ascending, as int64."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+# (top, the primes up to top as int64): sieved on first need, never at
+# import, and replaced whole, only when a larger bound is asked for.
+_trial_table: tuple[int, np.ndarray] = (0, np.zeros(0, dtype=np.int64))
+
+
+def _trial_divisors(bound: int) -> np.ndarray:
+    """The primes up to bound <= _TRIAL_LIMIT."""
+    global _trial_table
+    top, primes = _trial_table
+    if bound > top:
+        # doubling keeps a run of growing bounds to a few sieves
+        top = min(_TRIAL_LIMIT, max(bound, 2 * top))
+        primes = _small_primes(top)
+        _trial_table = (top, primes)
+    return primes[: primes.searchsorted(bound, "right")]
+
+
 def factorize(n: int) -> Factorization:
     """Unique prime factorization of 1 <= n < 2**63.
 
@@ -134,19 +163,21 @@ def factorize(n: int) -> Factorization:
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in [1, 2**63 - 1], got {n}")
+    bound = min(_TRIAL_LIMIT, math.isqrt(n))
+    primes = _trial_divisors(bound)
     m = n
     factors: list[tuple[int, int]] = []
-    d = 2
-    while d <= _TRIAL_LIMIT and d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
+    # one int64 pass finds every prime divisor up to bound (n < 2**63)
+    for d in primes[n % primes == 0].tolist():
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        factors.append((d, e))
     if m > 1:
-        if d * d > m:
+        # every prime factor of m is above bound, so below (bound + 1)**2
+        # m can only be prime
+        if m < (bound + 1) ** 2:
             factors.append((m, 1))
         else:
             big: dict[int, int] = {}

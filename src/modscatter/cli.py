@@ -256,9 +256,13 @@ def _cmd_count(args) -> None:
         else:
             lo = min(4.0 * args.t0 * args.t0, args.Y)
             ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
-        if not counting.main_term(kind, ys[0], args.t0) > 0:
-            raise ValueError(f"the first-order law of pi is not positive at Y = {ys[0]} "
-                             f"with t0 = {args.t0}")
+        # the law grows with Y: it must be a positive float at the first Y
+        # and a finite one at the last (a huge t0 or Y leaves the range)
+        for y in (ys[0], ys[-1]):
+            law = counting.main_term(kind, y, args.t0)
+            if not 0 < law < math.inf:
+                raise ValueError(f"the first-order law of pi is {law} at Y = {y} with "
+                                 f"t0 = {args.t0}, not positive and finite as a float")
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
         sums = _sums_at(thresholds.values(), args)
         exact = [(y, sums[thresholds[y]][2]) for y in ys]

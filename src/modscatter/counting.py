@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import _INT64_ROOT, DEFAULT_LIMIT_CAP, MemoryBudgetExceeded
+from .arith import _INT64_ROOT, DEFAULT_LIMIT_CAP, MemoryBudgetExceeded, _small_primes
 from .scatterset import _require_t0
 
 # Entries per streamed-sieve segment, chosen by timing 2^18..2^22: smaller
@@ -60,19 +60,7 @@ class CountTable:
     members_cum: np.ndarray    # int64: cumulative (phi + roots) / 2
 
 
-def _small_primes(n: int) -> list[int]:
-    """Primes up to n, ascending."""
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
-
-
-def _phi_roots_segment(lo: int, hi: int, primes: list[int]):
+def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
     """phi and root-count arrays for the values lo, lo+1, ..., hi-1.
 
     `primes` must cover every prime up to sqrt(hi - 1).  Only slice
@@ -86,7 +74,7 @@ def _phi_roots_segment(lo: int, hi: int, primes: list[int]):
     rem = phi.copy()
     roots = np.ones(n, dtype=np.uint8)
     roots[-lo % 4 :: 4] = 0  # multiples of 4 (and 0) never admit a root
-    for p in primes:
+    for p in primes.tolist():
         first = -(-lo // p) * p
         if first >= hi:
             continue
@@ -354,6 +342,14 @@ def total_members(x: float, table: CountTable) -> int:
     return table.members_cum.item(_floor_index(x, table))
 
 
+def _square(v: float) -> float:
+    """v ** 2, or inf where the square leaves the float range (** raises)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def sojourn_threshold(Y: float, t0: float) -> int:
     """Largest q >= 0 with (q*t0)**2 <= Y, found by adjusting an initial
     floating guess so perfect-square thresholds land exactly."""
@@ -361,9 +357,9 @@ def sojourn_threshold(Y: float, t0: float) -> int:
     if Y <= 0:
         return 0
     k = max(int(math.sqrt(Y) / t0), 0)
-    while ((k + 1) * t0) ** 2 <= Y:
+    while _square((k + 1) * t0) <= Y:
         k += 1
-    while k > 0 and (k * t0) ** 2 > Y:
+    while k > 0 and _square(k * t0) > Y:
         k -= 1
     return k
 
@@ -404,7 +400,7 @@ def main_term(kind: str, x: float, t0: float | None = None) -> float:
     if kind == "pi":
         if t0 is None:
             raise ValueError("kind 'pi' needs t0")
-        return 3.0 * x / (2.0 * (math.pi * t0) ** 2)
+        return 3.0 * x / (2.0 * _square(math.pi * t0))
     raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
 

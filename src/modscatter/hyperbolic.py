@@ -181,9 +181,10 @@ def trace_sojourn(
     in-core t minus first in-core t, matches 2*log(q*t0) to within 2*step
     plus the reduction tolerance.  Samples with y < 1/q are mapped first by
     the witness (a, -(1 + a*p)/q; q, -p), a the partner of p, which sends
-    p/q + iy to a/q + i/(q**2*y).  A q whose exit height underflows is
-    refused, and so is a sample count whose arrays would pass the byte
-    budget, before anything is allocated.
+    p/q + iy to a/q + i/(q**2*y).  A q and t0 whose exit height underflows,
+    or whose ratio y_start/y_end overflows, are refused, and so is a sample
+    count whose arrays would pass the byte budget, before anything is
+    allocated.
     """
     w = Fraction(w)
     if not 0 <= w < 1:
@@ -197,8 +198,13 @@ def trace_sojourn(
     y_start = 2.0 * t0
     y_end = 1.0 / (tail_factor * t0 * q * q)
     if not 0 < y_end < math.inf:
-        raise ValueError(f"q = {q} is too large: the exit height underflows a float")
-    samples = math.ceil(math.log(y_start / y_end) / step) + 1
+        raise ValueError(f"q = {q} with t0 = {t0} is too large: the exit height "
+                         f"underflows a float")
+    span = y_start / y_end
+    if span == math.inf:
+        raise ValueError(f"t0 = {t0} with q = {q} is too large: the ratio of the start "
+                         f"height to the exit height overflows a float")
+    samples = math.ceil(math.log(span) / step) + 1
     if samples * _SAMPLE_BYTES > _BYTE_BUDGET:
         raise MemoryBudgetExceeded(
             f"{samples} samples need about {samples * _SAMPLE_BYTES} bytes, "

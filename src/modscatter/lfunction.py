@@ -98,7 +98,7 @@ def series_by_euler_product(s: float, p_max: int) -> SeriesValue:
     up to p_max; empty products are 1."""
     if s <= 1:
         raise ValueError("s must exceed 1")
-    primes = np.array(counting._small_primes(p_max), dtype=np.int64)
+    primes = counting._small_primes(p_max)
     primes = primes[primes % 4 == 1]
     if primes.size == 0:
         return SeriesValue(s, 1.0, 0, 0.0)

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,89 @@ def test_factorize_reconstructs_and_orders():
 def test_factorize_large_semiprime():
     p, q = 1_000_000_007, 1_000_000_009
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def loop_factorize(n):
+    """Independent oracle: factors of n by a Python loop over 2 and the odd
+    d up to 10**6 while d*d <= m, then Miller-Rabin plus Brent rho."""
+    m = n
+    factors = []
+    d = 2
+    while d <= 10**6 and d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        if d * d > m:
+            factors.append((m, 1))
+        else:
+            big = {}
+            arith._factor_into(m, big)
+            factors.extend(sorted(big.items()))
+    return tuple(factors)
+
+
+def _bench_moduli():
+    """Moduli shaped like the benchmark's single sq calls: semiprimes of
+    primes in 1e7..1e9, prime squares, large primes and twice a large prime."""
+    rng = random.Random(10)
+
+    def prime(lo, hi, residue):
+        while True:
+            p = rng.randrange(lo, hi) | 1
+            if p % 4 == residue and arith.is_prime(p):
+                return p
+
+    p1, p2, p5, p7 = (prime(10**8, 10**9, 1) for _ in range(4))
+    p3, p6 = prime(10**7, 10**8, 1), prime(10**7, 10**8, 1)
+    p4 = prime(10**8, 10**9, 3)
+    big1, big2 = prime(10**17, 10**18, 1), prime(10**17, 4 * 10**18, 1)
+    return [p1 * p2, p2 * p7, 2 * p5 * p6, p5 * p5, p7 * p7, big1, 2 * big2,
+            p1 * p6 * 5, p3 * p4]
+
+
+_EDGE_CASES = [999983**2, 1000003**2, 999983 * 1000003, 999979 * 999983, 10**12,
+               10**12 + 39, 2 * 1000003, 2**61 - 1, 2**63 - 1]
+
+
+def test_factorize_matches_loop_oracle():
+    for n in range(1, 200_001):
+        assert factorize(n).factors == loop_factorize(n), n
+    for n in _EDGE_CASES + _bench_moduli():
+        assert factorize(n).factors == loop_factorize(n), n
+
+
+def test_factorize_declares_small_cofactors_prime(monkeypatch):
+    # below (bound + 1)**2 a cofactor free of primes up to the trial bound
+    # is prime, so neither Miller-Rabin nor rho runs; that covers every
+    # n < (10**6 + 1)**2, such as the prime 10**12 + 39
+    def refuse(m, out):
+        raise AssertionError(f"cofactor {m} sent to Miller-Rabin and rho")
+
+    monkeypatch.setattr(arith, "_factor_into", refuse)
+    rng = random.Random(3)
+    sample = [rng.randrange(1, 10**12) for _ in range(200)]
+    sample += [999983**2, 999983 * 1000003, 999979 * 999983, 10**12, 10**12 + 39]
+    for n in sample:
+        f = factorize(n)
+        assert math.prod(p**e for p, e in f.factors) == n
+    with pytest.raises(AssertionError, match="cofactor"):
+        factorize(1000003**2)
+
+
+def test_trial_primes_are_built_lazily():
+    code = ("import modscatter.cli; from modscatter import arith\n"
+            "modscatter.cli.build_parser(); print(arith._trial_table[0])\n"
+            "arith.factorize(7); print(arith._trial_table[0])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    unbuilt, after_seven = map(int, proc.stdout.split())
+    assert unbuilt == 0
+    assert 2 <= after_seven < 100
 
 
 def test_classify_golden():

@@ -605,6 +605,58 @@ def test_count_pi_without_a_positive_law_refused(capsys, monkeypatch, tmp_path, 
     _refused_before_work(capsys, tmp_path, ["count", "pi", *argv], 3, "not positive")
 
 
+# t0 = 1.3407807929942596e154 is the largest float whose square is finite;
+# the law 3Y/(2*(pi*t0)^2) leaves the float range from t0 near 3.02e153.
+@pytest.mark.parametrize("argv", [
+    ["--Y", "4", "--t0", "3.1e153"],
+    ["--Y", "4", "--t0", "1.3407807929942596e154"],
+    ["--Y", "4", "--t0", "1.3407807929942597e154"],
+    ["--Y", "4", "--t0", "1e200"],
+    ["--Y", "1e8", "--t0", "1e200", "--points", "5"],
+    ["--Y", "1.7e308", "--t0", "3e153"],  # the law overflows to inf
+    ["--Y", "1.7e308", "--t0", "1e150", "--points", "3"],
+])
+def test_count_pi_at_huge_t0_or_Y_refused(capsys, monkeypatch, tmp_path, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(counting, "sums_at", work)
+    _refused_before_work(capsys, tmp_path, ["count", "pi", *argv], 3, "not positive")
+
+
+def test_count_pi_answers_below_the_t0_edge(capsys):
+    code, out, _ = run(capsys, "count", "pi", "--Y", "4", "--t0", "3e153")
+    assert code == 0
+    assert out.splitlines()[1].startswith("4,0,6.7547")
+    # past the float range of ((k + 1)*t0)**2 the threshold still answers
+    assert counting.sojourn_threshold(1.7e308, 3e153) == 4
+    assert counting.main_term("pi", 4.0, 1e200) == 0.0
+
+
+@pytest.mark.parametrize("t0", ["1.1e153", "1.3407807929942597e154", "1e160", "1e308"])
+def test_trace_at_huge_t0_refused(capsys, monkeypatch, tmp_path, t0):
+    def alloc(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "arange", alloc)
+    dump = tmp_path / "samples.csv"
+    dump.write_bytes(b"earlier samples\n")
+    argv = ["trace", "1/3", "--t0", t0, "--step", "0.01", "--dump-samples", str(dump)]
+    _refused_before_work(capsys, tmp_path, argv, 3, "too large")
+    assert dump.read_bytes() == b"earlier samples\n"
+
+
+def test_trace_answers_below_the_t0_edge(capsys):
+    # for 1/3 the ratio 2*t0 / y_end = 180*t0**2 overflows from t0 near 1e153
+    code, out, _ = run(capsys, "trace", "1/3", "--t0", "9e152", "--step", "0.01")
+    assert code == 0
+    cells = out.splitlines()[1].split(",")
+    assert float(cells[6]) <= 2 * 0.01
+    for cmd in (["G", "--first", "3"], ["gq", "5"]):
+        code, out, _ = run(capsys, *cmd, "--t0", "1e300")
+        assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_count_work_past_the_sieve_bound_is_capped(capsys, monkeypatch, tmp_path):
     # 73,963 points up to 5e9, past the sieve's int64 bound: the sublinear
     # route's model puts them at 6.64e9 sieve entries
