@@ -117,27 +117,38 @@ def reduce_points(
     step touches only the points still inside the unit circle.  The two
     implementations are checked against each other in the test-suite.
     """
-    w = np.asarray(zs, dtype=np.complex128).copy()
+    w = np.array(zs, dtype=np.complex128)
     if w.size and (w.imag <= 0).any():
         raise ValueError("all points must lie in the open upper half-plane")
-    flat = w.reshape(-1)
+    _reduce_in_place(w.reshape(-1), eps, max_steps)
+    return w
+
+
+def _reduce_in_place(flat: np.ndarray, eps: float, max_steps: int) -> None:
+    """reduce_points on a 1-d complex128 array, overwriting it.
+
+    The first step works on `flat` itself and later ones on a compacted copy
+    of the points still walking, so a step costs only what is still walking;
+    each point is written back once, when it leaves the unit circle."""
     lim = (1.0 - eps) ** 2
-    active = np.arange(flat.size)
+    v, active = flat, np.arange(flat.size)
     for _ in range(max_steps):
-        v = flat[active]
-        v -= np.rint(v.real)
-        inside = v.real**2 + v.imag**2 < lim
-        v[inside] = -1.0 / v[inside]
-        flat[active] = v
+        x = v.real
+        x -= np.rint(x)
+        inside = x**2 + v.imag**2 < lim
+        if v is not flat:
+            done = ~inside
+            flat[active[done]] = v[done]
         active = active[inside]
         if not active.size:
             break
+        v = v[inside]
+        np.divide(-1.0, v, out=v)
     else:
         raise ReductionError(
             f"{active.size} points failed to reduce within {max_steps} steps"
         )
     flat.real[flat.real < 0] += 1.0
-    return w
 
 
 @dataclass(frozen=True)
@@ -210,12 +221,20 @@ def trace_sojourn(
             f"{samples} samples need about {samples * _SAMPLE_BYTES} bytes, "
             f"over the budget of {_BYTE_BUDGET}"
         )
-    t = np.arange(samples) * step
-    y = y_start * np.exp(-t)
-    z = float(w) + 1j * y
+    # built in place, without the full-size temporaries of the expressions
+    # t = arange*step, y = y_start*exp(-t), z = w + 1j*y (same values)
+    t = np.arange(samples, dtype=np.float64)
+    t *= step
+    y = np.negative(t)
+    np.exp(y, out=y)
+    y *= y_start
+    reduced = np.empty(samples, dtype=np.complex128)
+    reduced.real = float(w)
+    reduced.imag = y
     low = y < 1.0 / q
     a = partner(p, q) if q > 1 else 0
-    z[low] = float(Fraction(a, q)) + 1j / (float(q) ** 2 * y[low])
-    reduced = reduce_points(z)
+    reduced.real[low] = float(Fraction(a, q))
+    reduced.imag[low] = 1.0 / (float(q) ** 2 * y[low])
+    _reduce_in_place(reduced, DEFAULT_EPS, MAX_REDUCTION_STEPS)
     in_core = reduced.imag <= t0
     return GeodesicTrace(w, t0, step, t, y, reduced, in_core)
