@@ -21,8 +21,16 @@ import numpy as np
 MAX_N = 2**63 - 1
 
 _TRIAL_LIMIT = 10**6
+# The first trial pass reaches at least this far (or to isqrt(n), when that
+# is less): a pass this short costs its few numpy calls, whatever its length.
+_TRIAL_FLOOR = 100
 # Deterministic Miller-Rabin witness set: valid for every n below 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (b, k): below b the first k witnesses suffice.  Each b is the least odd
+# composite that passes for all of them (OEIS A014233).
+_MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+                (3825123056546413051, 9))
 # Largest n with n*n <= 2**63 - 1: products of two residues below it, the
 # sieve's prefix sums to x and the scan's p*p + 1 all stay inside int64.
 _INT64_ROOT = math.isqrt(MAX_N)
@@ -71,7 +79,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    k = next((k for b, k in _MR_PREFIXES if n < b), len(_MR_WITNESSES))
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -143,46 +152,70 @@ def _small_primes(n: int) -> np.ndarray:
 _trial_table: tuple[int, np.ndarray] = (0, np.zeros(0, dtype=np.int64))
 
 
-def _trial_divisors(bound: int) -> np.ndarray:
-    """The primes up to bound <= _TRIAL_LIMIT."""
+def _trial_divisors(lo: int, hi: int) -> np.ndarray:
+    """The primes in (lo, hi], for hi <= _TRIAL_LIMIT."""
     global _trial_table
     top, primes = _trial_table
-    if bound > top:
+    if hi > top:
         # doubling keeps a run of growing bounds to a few sieves
-        top = min(_TRIAL_LIMIT, max(bound, 2 * top))
+        top = min(_TRIAL_LIMIT, max(hi, 2 * top))
         primes = _small_primes(top)
         _trial_table = (top, primes)
-    return primes[: primes.searchsorted(bound, "right")]
+    primes = primes[: primes.searchsorted(hi, "right")]
+    return primes[primes.searchsorted(lo, "right") :] if lo else primes
 
 
-def factorize(n: int) -> Factorization:
-    """Unique prime factorization of 1 <= n < 2**63.
-
-    Trial division up to 10**6, then Miller-Rabin plus Brent rho for any
-    remaining cofactor, so single large moduli stay tractable.
-    """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in [1, 2**63 - 1], got {n}")
-    bound = min(_TRIAL_LIMIT, math.isqrt(n))
-    primes = _trial_divisors(bound)
-    m = n
-    factors: list[tuple[int, int]] = []
-    # one int64 pass finds every prime divisor up to bound (n < 2**63)
-    for d in primes[n % primes == 0].tolist():
+def _trial_divide(m: int, lo: int, hi: int, factors: list[tuple[int, int]]) -> int:
+    """m with every prime in (lo, hi] divided out, each appended to factors
+    with its exponent."""
+    primes = _trial_divisors(lo, hi)
+    # one int64 pass finds every prime divisor in the range (m < 2**63)
+    for d in primes[m % primes == 0].tolist():
         e = 0
         while m % d == 0:
             m //= d
             e += 1
         factors.append((d, e))
-    if m > 1:
-        # every prime factor of m is above bound, so below (bound + 1)**2
-        # m can only be prime
-        if m < (bound + 1) ** 2:
-            factors.append((m, 1))
-        else:
+    return m
+
+
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 0."""
+    c = round(n ** (1 / 3))
+    while c**3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
+
+
+def factorize(n: int) -> Factorization:
+    """Unique prime factorization of 1 <= n < 2**63.
+
+    Trial division by the primes up to the cube root of n, and by those up
+    to the square root of the cofactor when that is neither 1 nor prime,
+    never past 10**6; then Miller-Rabin plus Brent rho for any remaining
+    cofactor, so single large moduli stay tractable.
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in [1, 2**63 - 1], got {n}")
+    factors: list[tuple[int, int]] = []
+    # After a pass every prime factor of m is above bound, so below
+    # (bound + 1)**2 m can only be 1 or prime.
+    bound = math.isqrt(n)
+    if bound > _TRIAL_FLOOR:
+        bound = min(_TRIAL_LIMIT, max(_TRIAL_FLOOR, _icbrt(n)))
+    m = _trial_divide(n, 0, bound, factors)
+    if m >= (bound + 1) ** 2 and not is_prime(m):
+        lo, bound = bound, min(_TRIAL_LIMIT, math.isqrt(m))
+        m = _trial_divide(m, lo, bound, factors)
+        if m >= (bound + 1) ** 2:
             big: dict[int, int] = {}
             _factor_into(m, big)
             factors.extend(sorted(big.items()))
+            m = 1
+    if m > 1:
+        factors.append((m, 1))
     return Factorization(n, tuple(factors))
 
 

@@ -300,7 +300,8 @@ def _cmd_histogram(args) -> None:
     _check_budget(args.bins, _BIN_BYTES, "bins")
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts = np.zeros(args.bins, dtype=np.int64)
-    for q, p, _ in scatterset.family_blocks(args.first):
+    for qa, ends, p, _ in scatterset._member_runs(args.first):
+        q = np.repeat(np.arange(qa, qa + ends.size), np.diff(ends, prepend=0))
         # p / q rounds as float(Fraction(p, q)): both operands are exact floats
         counts += np.histogram(p / q, bins=edges)[0]
     _emit_columns(["bin_left", "bin_right", "count", "density"],
@@ -362,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to this file")
     common.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
+        "--threads", type=_positive_int, default=os.cpu_count() or 1,
         help="accepted for compatibility; computation is vectorised in-process",
     )
     common.add_argument(
-        "--limit", type=int, default=200_000_000,
+        "--limit", type=_positive_int, default=200_000_000,
         help="largest evaluation point / element count a command may request",
     )
 
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation point for S/tau/psi")
     p.add_argument("--Y", type=_finite_float, default=None,
                    help="sojourn bound exp scale for pi")
-    p.add_argument("--points", type=int, default=1,
+    p.add_argument("--points", type=_positive_int, default=1,
                    help="emit this many log-spaced checkpoints up to the target")
     p.set_defaults(func=_cmd_count)
 

@@ -135,7 +135,8 @@ def _reduce_in_place(flat: np.ndarray, eps: float, max_steps: int) -> None:
     for _ in range(max_steps):
         x = v.real
         x -= np.rint(x)
-        inside = x**2 + v.imag**2 < lim
+        with np.errstate(over="ignore"):  # a height past 1e154 squares to inf: outside
+            inside = x**2 + v.imag**2 < lim
         if v is not flat:
             done = ~inside
             flat[active[done]] = v[done]

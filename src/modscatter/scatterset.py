@@ -7,8 +7,9 @@ residues together with the minimum of every orbit yields the fraction family
 for denominator q, and the disjoint union over q = 1, 2, 3, ... indexes the
 geodesics of the modular surface that escape to the cusp in both directions.
 The family is ordered by denominator first, fraction value second.  One
-vectorised kernel lists the units of q with their partners; scatter_set,
-pairing_census and the columnar family_blocks all read the family off it.
+vectorised kernel lists the units of a run of consecutive denominators with
+their partners; scatter_set and pairing_census read one q off it, and the
+columnar family_blocks reads the family off it a run at a time.
 
 Two fractions p1/q and p2/q (denominators >= 2) label the same geodesic
 exactly when q divides p1*p2 + 1; the witness is the determinant-1 matrix
@@ -30,10 +31,11 @@ from . import arith
 from .arith import _BYTE_BUDGET, _INT64_ROOT, MemoryBudgetExceeded
 
 INFINITY = math.inf
-# Peak bytes _pairing(q) holds: one mask byte per residue plus, per unit, the
-# units, the exponentiation's operands and temporaries, partners and search
-# positions.  Measured with tracemalloc (numpy 2.4): q + 41*phi(q) and a few
-# hundred bytes, for q prime, a prime power and products of small primes.
+# Bytes per unit of the working set _pairing(q) is budgeted: q + 42*phi(q).
+# It holds one mask byte per residue of the lower half and, per unit, the
+# units, partners, the lower half's operands and one check temporary:
+# measured with tracemalloc (numpy 2.4), q/2 + 27.5*phi(q) at most, for q
+# prime, a prime power and products of small primes.
 _PAIRING_BYTES_PER_UNIT = 42
 
 
@@ -138,51 +140,109 @@ def scatter_set(q: int) -> ScatterSet:
     return ScatterSet(q, tuple(selfp), pairs, members)
 
 
-def _mod_pow(base: np.ndarray, exp: int, q: int) -> np.ndarray:
+def _mod_pow(base: np.ndarray, exps: np.ndarray, counts: np.ndarray,
+             mod: np.ndarray) -> np.ndarray:
+    """base**e % mod elementwise, squaring base in place.
+
+    The exponent goes by blocks: the first counts[0] elements take exps[0],
+    the next counts[1] take exps[1], and so on; mod is given per element.
+    """
     result = np.ones_like(base)
-    b = base % q
-    while exp:
-        if exp & 1:
-            result = result * b % q
-        b = b * b % q
-        exp >>= 1
+    for bit in range(int(exps.max()).bit_length()):
+        if bit:
+            np.multiply(base, base, out=base)
+            np.remainder(base, mod, out=base)
+        # a block shares each bit, so the masked passes branch once a block
+        odd = np.repeat(((exps >> bit) & 1).astype(bool), counts)
+        np.multiply(result, base, out=result, where=odd)
+        np.remainder(result, mod, out=result, where=odd)
     return result
 
 
-def _pairing(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units mod q in ascending order and the partner of each.
+def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The units of every q in [qa, qb), q by q and ascending within each,
+    the partner of each, and the index where each q's units end.
 
-    Partners come from the vectorised inverse p**(phi(q)-1), and the map is
-    verified to be an involution of the unit group.  q whose square leaves
+    Only the lower half p <= q/2 is exponentiated, p**(phi(q)-1) being the
+    inverse of p; the inverse of q - p is q - inv(p), so the upper half is
+    the lower one mirrored.  Every partner y is then checked to satisfy
+    p*y == -1 (mod q) and 1 <= y < q: that makes y the unique partner of p,
+    so the map is an involution of the unit group.  A q whose square leaves
     int64, or whose working set would pass the byte budget, is refused
     before anything is allocated.
     """
-    if q < 2:
+    if qa < 2:
         raise ValueError("q must be at least 2")
-    if q > _INT64_ROOT:
+    if qb - 1 > _INT64_ROOT:
+        q = max(qa, _INT64_ROOT + 1)
         raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where q*q leaves int64")
-    primes = [p for p, _ in arith.factorize(q).factors]
-    phi = q
-    for p in primes:
-        phi -= phi // p
-    need = q + _PAIRING_BYTES_PER_UNIT * phi
-    if need > _BYTE_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"q = {q} needs {need} bytes for its {phi} units, "
-            f"over the budget of {_BYTE_BUDGET}"
-        )
-    mask = np.ones(q, dtype=bool)
-    mask[0] = False
-    for p in primes:
-        mask[::p] = False
-    units = np.nonzero(mask)[0].astype(np.int64)
-    inv = _mod_pow(units, len(units) - 1, q)  # p**(phi(q)-1) == p^-1 (mod q)
-    if ((units * inv) % q != 1).any():
-        raise ArithmeticError(f"inverse computation failed for q = {q}")
-    y = q - inv
-    pos = np.searchsorted(units, y)
-    if (units[pos] != y).any() or (y[pos] != units).any():
-        raise ArithmeticError(f"partner map is not an involution for q = {q}")
+    qs = range(qa, qb)
+    primes, phis = [], []
+    for q in qs:
+        ps = [p for p, _ in arith.factorize(q).factors]
+        phi = q
+        for p in ps:
+            phi -= phi // p
+        need = q + _PAIRING_BYTES_PER_UNIT * phi
+        if need > _BYTE_BUDGET:
+            raise MemoryBudgetExceeded(
+                f"q = {q} needs {need} bytes for its {phi} units, "
+                f"over the budget of {_BYTE_BUDGET}"
+            )
+        primes.append(ps)
+        phis.append(phi)
+    # one mask over the residues 0..q//2 of each q in turn
+    offsets = list(itertools.accumulate((q // 2 + 1 for q in qs), initial=0))
+    mask = np.ones(offsets[-1], dtype=bool)
+    for q, off, ps in zip(qs, offsets, primes):
+        seg = mask[off : off + q // 2 + 1]
+        for p in ps:
+            seg[::p] = False
+    phis = np.array(phis)
+    half = (phis + 1) // 2  # q = 2 has one unit, 1, its own mirror
+    low = np.flatnonzero(mask)
+    del mask
+    low -= np.repeat(offsets[:-1], half)
+    qcol = np.repeat(np.arange(qa, qb), half)
+    n, h = int(phis.sum()), low.size
+    # the lower halves in order of q, then every upper half mirrored, which
+    # puts them in reverse order of q (the first q's last, so q = 2's drops)
+    up = slice(h, n)
+    qup = qcol[::-1][: n - h]
+    units = np.empty(n, dtype=np.int64)
+    units[:h] = low
+    np.subtract(qup, low[::-1][: n - h], out=units[up])
+    inv = _mod_pow(low, phis - 1, half, qcol)  # squares low away
+    y = np.empty(n, dtype=np.int64)
+    np.subtract(qcol, inv, out=y[:h])
+    y[up] = inv[::-1][: n - h]
+    del low, inv
+    what = f"q = {qa}" if qb - qa == 1 else f"q in [{qa}, {qb})"
+    for part, q in ((slice(0, h), qcol), (up, qup)):
+        u, v = units[part], y[part]
+        check = u * v
+        check += 1
+        np.remainder(check, q, out=check)
+        if check.any():
+            raise ArithmeticError(f"inverse computation failed for {what}")
+        if ((v < 1) | (v >= q)).any():
+            raise ArithmeticError(f"partner map is not an involution for {what}")
+    ends = np.cumsum(phis)
+    if qb - qa > 1:
+        # reorder to q by q: one gather over the segments lower, upper of each q
+        upper = phis - half
+        src = np.stack([np.cumsum(half) - half, n - np.cumsum(upper)], axis=1)
+        dst = np.stack([ends - phis, ends - upper], axis=1)
+        idx = np.repeat((src - dst).ravel(), np.stack([half, upper], axis=1).ravel())
+        idx += np.arange(n)
+        units, y = units[idx], y[idx]
+    return ends, units, y
+
+
+def _pairing(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units mod q in ascending order and the partner of each: the run
+    of the one denominator q."""
+    _, units, y = _pairing_run(q, q + 1)
     return units, y
 
 
@@ -197,6 +257,50 @@ def pairing_census(q: int) -> tuple[int, int, int]:
     return len(units), self_paired, self_paired + (len(units) - self_paired) // 2
 
 
+# Residues a run of denominators covers at most, unless one q has more: the
+# runs of a family walk start at one q and double up to it.
+_RUN_RESIDUES = 1 << 16
+
+
+def _member_runs(
+    limit: int | None = None, start: int = 1
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the family one run of consecutive denominators at a time.
+
+    Each run is (qa, ends, p, self_paired) for q = qa, qa+1, ...: the member
+    numerators of every q of the run, q by q and ascending within each
+    (int64), whether each is its own partner (bool), and the index where
+    each q's members end.  With a limit the runs stop after that many
+    members in all, the last one cut short after the q that reaches it.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    if start < 1:
+        raise ValueError("start must be positive")
+    left, qa, size = limit, start, start
+    while True:
+        qb, total = qa + 1, qa
+        while total + qb <= size:
+            total += qb
+            qb += 1
+        if qa == 1:
+            ends, p, self_paired = np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, bool)
+        else:
+            ends, units, y = _pairing_run(qa, qb)
+            keep = units <= y
+            p, self_paired = units[keep], (units == y)[keep]
+            ends = np.cumsum(keep)[ends - 1]
+        if left is not None:
+            if left <= p.size:
+                ends = ends[: np.searchsorted(ends, left) + 1]
+                ends[-1] = left
+                yield qa, ends, p[:left], self_paired[:left]
+                return
+            left -= p.size
+        yield qa, ends, p, self_paired
+        qa, size = qb, min(2 * size, _RUN_RESIDUES)
+
+
 def family_blocks(
     limit: int | None = None, start: int = 1
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -204,27 +308,14 @@ def family_blocks(
 
     Each block is (q, p, self_paired): the member numerators of q ascending
     (int64) and whether each is its own partner (bool), read off the pairing
-    kernel.  With a limit the blocks stop after that many members in all,
-    the last one cut short.
+    kernel one run of denominators at a time.  With a limit the blocks stop
+    after that many members in all, the last one cut short.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    if start < 1:
-        raise ValueError("start must be positive")
-    left = limit
-    for q in itertools.count(start):
-        if q == 1:
-            p, self_paired = np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
-        else:
-            units, y = _pairing(q)
-            keep = units <= y
-            p, self_paired = units[keep], (units == y)[keep]
-        if left is not None:
-            if left <= p.size:
-                yield q, p[:left], self_paired[:left]
-                return
-            left -= p.size
-        yield q, p, self_paired
+    for qa, ends, p, self_paired in _member_runs(limit, start):
+        lo = 0
+        for q, hi in zip(itertools.count(qa), ends.tolist()):
+            yield q, p[lo:hi], self_paired[lo:hi]
+            lo = hi
 
 
 def iter_fractions(limit: int | None = None) -> Iterator[Fraction]:

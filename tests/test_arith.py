@@ -121,6 +121,37 @@ def test_factorize_declares_small_cofactors_prime(monkeypatch):
         factorize(1000003**2)
 
 
+@pytest.mark.parametrize("n, factors", [(10**12, ((2, 12), (5, 12))),
+                                        (2 * 1000003, ((2, 1), (1000003, 1)))])
+def test_factorize_stops_at_cube_root(monkeypatch, n, factors):
+    # a table holding no prime past the cube root, topped at the trial limit
+    # so nothing is sieved, and a record of every prime range asked of it
+    cube = round(n ** (1 / 3))
+    while cube**3 > n:
+        cube -= 1
+    monkeypatch.setattr(arith, "_trial_table", (arith._TRIAL_LIMIT, arith._small_primes(cube)))
+    asked = []
+    trial_divisors = arith._trial_divisors
+
+    def record(lo, hi):
+        asked.append(hi)
+        return trial_divisors(lo, hi)
+
+    monkeypatch.setattr(arith, "_trial_divisors", record)
+    assert factorize(n).factors == factors
+    assert asked and max(asked) <= cube
+
+
+def test_is_prime_witness_prefixes():
+    # each bound is the least odd composite passing its shorter witness set,
+    # so one witness too few would call it prime
+    for bound, _ in arith._MR_PREFIXES:
+        assert not arith.is_prime(bound), bound
+    sieve = set(arith._small_primes(200_000).tolist())
+    assert all(arith.is_prime(n) == (n in sieve) for n in range(200_001))
+    assert arith.is_prime(2**61 - 1) and not arith.is_prime(3825123056546413051)
+
+
 def test_trial_primes_are_built_lazily():
     code = ("import modscatter.cli; from modscatter import arith\n"
             "modscatter.cli.build_parser(); print(arith._trial_table[0])\n"

@@ -415,6 +415,70 @@ def test_histogram_matches_oracle(capsys, fmt, first, bins):
     assert out == oracle_histogram(first, bins, fmt)
 
 
+def oracle_histogram_by_q(first, bins, fmt):
+    """The histogram summed one denominator at a time, np.histogram(p / q)
+    over members found by a scan with Python's modular inverse."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    counts, left, q = np.zeros(bins, dtype=np.int64), first, 0
+    while left:
+        q += 1
+        nums = [0] if q == 1 else [p for p in range(1, q) if math.gcd(p, q) == 1
+                                   and p <= (-pow(p, -1, q)) % q]
+        nums = nums[:left]
+        left -= len(nums)
+        counts += np.histogram(np.array(nums) / q, bins=edges)[0]
+    rows = [{"bin_left": float(edges[i]), "bin_right": float(edges[i + 1]),
+             "count": int(counts[i]), "density": counts[i] * bins / first}
+            for i in range(bins)]
+    return oracle_text(["bin_left", "bin_right", "count", "density"], rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("first,bins", [(3700, 7), (15_000, 100), (50_001, 33)])
+def test_histogram_cut_inside_a_run_matches_oracle(capsys, fmt, first, bins):
+    # each N ends inside the block of one q, a q in the middle of its run
+    before = 0
+    for _, ends, p, _ in scatterset._member_runs():
+        if before + p.size > first:
+            break
+        before += p.size
+    i = int(np.searchsorted(ends, first - before))
+    assert 0 < i < ends.size - 1 and ends[i] != first - before
+    _, out, _ = run(capsys, "histogram", "--first", str(first), "--bins", str(bins),
+                    "--format", fmt)
+    assert out == oracle_histogram_by_q(first, bins, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "S", "--x", "5", "--points", "0"],
+    ["count", "S", "--x", "5", "--points", "-3"],
+    ["G", "--first", "5", "--limit", "-5"],
+    ["G", "--first", "5", "--limit", "0"],
+    ["gq", "5", "--threads", "0"],
+])
+def test_non_positive_sizes_are_usage_errors(capsys, tmp_path, argv):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"earlier output\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "positive integer" in out.err
+    assert path.read_bytes() == b"earlier output\n"
+
+
+def test_trace_near_the_t0_edge_warns_nothing():
+    # heights near 1e154 square past the float range inside the reduction;
+    # the comparison that does it must not leak a RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "modscatter",
+         "trace", "0/1", "--t0", "2.9e153", "--step", "0.01"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("w,q,t0,step,measured,predicted,abs_gap\n0,1,")
+
+
 @pytest.mark.parametrize("argv", [
     ["G", "--first", "1001", "--limit", "1000"],
     ["G", "--first", "5", "--t0", "1"],

@@ -217,6 +217,58 @@ def test_family_blocks_cut_at_limit(limit):
         next(scatterset.family_blocks(start=0))
 
 
+def test_runs_match_scan():
+    # every q <= 3000 through the runs the family walk makes: the kernel's
+    # units and partners, and the members and self-paired flags read off them
+    runs = []
+    for qa, ends, p, self_paired in scatterset._member_runs(start=2):
+        if qa > 3000:
+            break
+        qb = qa + ends.size
+        runs.append((qa, qb))
+        unit_ends, units, y = scatterset._pairing_run(qa, qb)
+        lo = member_lo = 0
+        for q, hi, member_hi in zip(range(qa, qb), unit_ends.tolist(), ends.tolist()):
+            selfp, pairs, nums = scan_pairing(q)
+            mate = {s: s for s in selfp} | dict(pairs) | {b: a for a, b in pairs}
+            assert units[lo:hi].tolist() == sorted(mate), q
+            assert y[lo:hi].tolist() == [mate[u] for u in sorted(mate)], q
+            assert p[member_lo:member_hi].tolist() == nums, q
+            assert self_paired[member_lo:member_hi].tolist() == [n in selfp for n in nums], q
+            lo, member_lo = hi, member_hi
+        assert lo == units.size and member_lo == p.size
+    # runs start at one q and grow to many
+    assert runs[0] == (2, 3) and max(b - a for a, b in runs) > 50
+    for qa, _ in runs[1:]:
+        for q in (qa - 1, qa):
+            _, _, nums = scan_pairing(q)
+            start_q, start_p, _ = next(scatterset.family_blocks(start=q))
+            assert start_q == q and start_p.tolist() == nums, q
+            first = next(scatterset._member_runs(start=q))
+            assert first[0] == q and first[1].size == 1
+
+
+@pytest.mark.parametrize("qa,qb", [(1009, 1010), (1000, 1100), (2, 3)])
+@pytest.mark.parametrize("at", [0, -1])
+@pytest.mark.parametrize("shift", ["one", "modulus"])
+def test_corrupt_inverse_is_caught(monkeypatch, qa, qb, at, shift):
+    # a wrong inverse fails p*inv == 1; one off by its modulus passes that
+    # but leaves [1, q), and so does the partner mirrored from it
+    mod_pow = scatterset._mod_pow
+
+    def corrupt(base, exps, counts, mod):
+        out = mod_pow(base, exps, counts, mod)
+        out[at] += 1 if shift == "one" else mod[at]
+        return out
+
+    monkeypatch.setattr(scatterset, "_mod_pow", corrupt)
+    with pytest.raises(ArithmeticError):
+        scatterset._pairing_run(qa, qb)
+    if qb - qa == 1:
+        with pytest.raises(ArithmeticError):
+            pairing_census(qa)
+
+
 @pytest.mark.parametrize("q", [2**16, 5**8, 30030 * 33, 999_983])
 def test_pairing_working_set_within_model(q):
     tracemalloc.start()
