@@ -91,8 +91,9 @@ def _emit(columns: list[str], chunks: Iterable[str], fmt: str, path: str | None)
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
-# Rows per text chunk: a table is formatted and written a slice at a time,
-# so the strings held at once stay bounded however long it is.
+# A table is formatted and written a slice at a time, so the strings held at
+# once stay bounded however long or wide it is: _emit_columns takes this many
+# cells, whole rows, a slice and _emit_family this many rows.
 _CHUNK_ROWS = 1 << 16
 
 
@@ -123,18 +124,19 @@ def _cells(values, as_json: bool) -> list[str]:
 def _emit_columns(columns: list[str], values: list, fmt: str, path: str | None) -> None:
     """Write a table given as one sequence (a list or numpy array) per
     column, with the bytes of csv.writer or json.dumps(rows, indent=2) over
-    its rows: each slice of _CHUNK_ROWS rows is formatted a column at a
-    time, and its rows are filled into one %-template."""
+    its rows: each slice of _CHUNK_ROWS cells, whole rows, is formatted a
+    column at a time, and its rows are filled into one %-template."""
     as_json = fmt == "json"
     if as_json:
         row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in columns) + "\n  }"
     else:
         row = ",".join(["%s"] * len(columns)) + "\n"
     join = ",\n" if as_json else ""
+    rows = max(1, _CHUNK_ROWS // len(columns))
 
     def chunks():
-        for i in range(0, len(values[0]), _CHUNK_ROWS):
-            cells = [_cells(v[i:i + _CHUNK_ROWS], as_json) for v in values]
+        for i in range(0, len(values[0]), rows):
+            cells = [_cells(v[i:i + rows], as_json) for v in values]
             yield join.join([row % r for r in zip(*cells)])
 
     _emit(columns, chunks(), fmt, path)

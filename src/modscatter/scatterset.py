@@ -7,9 +7,10 @@ residues together with the minimum of every orbit yields the fraction family
 for denominator q, and the disjoint union over q = 1, 2, 3, ... indexes the
 geodesics of the modular surface that escape to the cusp in both directions.
 The family is ordered by denominator first, fraction value second.  One
-vectorised kernel lists the units of a run of consecutive denominators with
-their partners; scatter_set and pairing_census read one q off it, and the
-columnar family_blocks reads the family off it a run at a time.
+vectorised kernel lists the lower half p <= q/2 of the units of a run of
+consecutive denominators with their partners, which fixes the rest: q - p
+has partner q - y.  scatter_set and pairing_census mirror it for one q, and
+the columnar family_blocks reads the family off it a run at a time.
 
 Two fractions p1/q and p2/q (denominators >= 2) label the same geodesic
 exactly when q divides p1*p2 + 1; the witness is the determinant-1 matrix
@@ -31,11 +32,13 @@ from . import arith
 from .arith import _BYTE_BUDGET, _INT64_ROOT, MemoryBudgetExceeded
 
 INFINITY = math.inf
-# Bytes per unit of the working set _pairing(q) is budgeted: q + 42*phi(q).
-# It holds one mask byte per residue of the lower half and, per unit, the
-# units, partners, the lower half's operands and one check temporary:
-# measured with tracemalloc (numpy 2.4), q/2 + 27.5*phi(q) at most, for q
-# prime, a prime power and products of small primes.
+# Bytes per unit of the working set the pairing of one q is budgeted:
+# q + 42*phi(q).  The kernel holds one mask byte per residue of the lower
+# half and, per unit of that half, the unit, its partner, the modulus, the
+# base it squares and one check temporary.  _pairing(q) adds the mirrored
+# units and partners, family_blocks an int8 window over the residues of q:
+# measured with tracemalloc (numpy 2.4), q/2 + 23.5*phi(q) and q + 25*phi(q)
+# at most, for q prime, a prime power and products of small primes.
 _PAIRING_BYTES_PER_UNIT = 42
 
 
@@ -160,16 +163,16 @@ def _mod_pow(base: np.ndarray, exps: np.ndarray, counts: np.ndarray,
 
 
 def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The units of every q in [qa, qb), q by q and ascending within each,
-    the partner of each, and the index where each q's units end.
+    """The units p <= q/2 of every q in [qa, qb), q by q and ascending
+    within each, the partner y of each, and how many each q has,
+    (phi(q)+1)//2.
 
-    Only the lower half p <= q/2 is exponentiated, p**(phi(q)-1) being the
-    inverse of p; the inverse of q - p is q - inv(p), so the upper half is
-    the lower one mirrored.  Every partner y is then checked to satisfy
-    p*y == -1 (mod q) and 1 <= y < q: that makes y the unique partner of p,
-    so the map is an involution of the unit group.  A q whose square leaves
-    int64, or whose working set would pass the byte budget, is refused
-    before anything is allocated.
+    The partner of q - p is q - y, so this lower half determines the whole
+    pairing.  p**(phi(q)-1) is the inverse of p, and every partner is
+    checked to satisfy p*y == -1 (mod q) and 1 <= y < q: that makes y the
+    unique partner of p, so the map is an involution of the unit group.  A
+    q whose square leaves int64, or whose working set would pass the byte
+    budget, is refused before anything is allocated.
     """
     if qa < 2:
         raise ValueError("q must be at least 2")
@@ -199,51 +202,32 @@ def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for p in ps:
             seg[::p] = False
     phis = np.array(phis)
-    half = (phis + 1) // 2  # q = 2 has one unit, 1, its own mirror
-    low = np.flatnonzero(mask)
+    counts = (phis + 1) // 2  # q = 2 has one unit, 1, its own mirror
+    p = np.flatnonzero(mask)
     del mask
-    low -= np.repeat(offsets[:-1], half)
-    qcol = np.repeat(np.arange(qa, qb), half)
-    n, h = int(phis.sum()), low.size
-    # the lower halves in order of q, then every upper half mirrored, which
-    # puts them in reverse order of q (the first q's last, so q = 2's drops)
-    up = slice(h, n)
-    qup = qcol[::-1][: n - h]
-    units = np.empty(n, dtype=np.int64)
-    units[:h] = low
-    np.subtract(qup, low[::-1][: n - h], out=units[up])
-    inv = _mod_pow(low, phis - 1, half, qcol)  # squares low away
-    y = np.empty(n, dtype=np.int64)
-    np.subtract(qcol, inv, out=y[:h])
-    y[up] = inv[::-1][: n - h]
-    del low, inv
+    p -= np.repeat(offsets[:-1], counts)
+    qcol = np.repeat(np.arange(qa, qb), counts)
+    y = _mod_pow(p.copy(), phis - 1, counts, qcol)  # squares its copy away
+    np.subtract(qcol, y, out=y)
+    check = p * y
+    check += 1
+    np.remainder(check, qcol, out=check)
     what = f"q = {qa}" if qb - qa == 1 else f"q in [{qa}, {qb})"
-    for part, q in ((slice(0, h), qcol), (up, qup)):
-        u, v = units[part], y[part]
-        check = u * v
-        check += 1
-        np.remainder(check, q, out=check)
-        if check.any():
-            raise ArithmeticError(f"inverse computation failed for {what}")
-        if ((v < 1) | (v >= q)).any():
-            raise ArithmeticError(f"partner map is not an involution for {what}")
-    ends = np.cumsum(phis)
-    if qb - qa > 1:
-        # reorder to q by q: one gather over the segments lower, upper of each q
-        upper = phis - half
-        src = np.stack([np.cumsum(half) - half, n - np.cumsum(upper)], axis=1)
-        dst = np.stack([ends - phis, ends - upper], axis=1)
-        idx = np.repeat((src - dst).ravel(), np.stack([half, upper], axis=1).ravel())
-        idx += np.arange(n)
-        units, y = units[idx], y[idx]
-    return ends, units, y
+    if check.any():
+        raise ArithmeticError(f"inverse computation failed for {what}")
+    if ((y < 1) | (y >= qcol)).any():
+        raise ArithmeticError(f"partner map is not an involution for {what}")
+    return counts, p, y
 
 
 def _pairing(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units mod q in ascending order and the partner of each: the run
-    of the one denominator q."""
-    _, units, y = _pairing_run(q, q + 1)
-    return units, y
+    """The units mod q in ascending order and the partner of each: the
+    lower half of the run of the one denominator q, then its mirror."""
+    _, p, y = _pairing_run(q, q + 1)
+    if q > 2:  # q = 2's one unit, 1, is its own mirror
+        p = np.concatenate([p, q - p[::-1]])
+        y = np.concatenate([y, q - y[::-1]])
+    return p, y
 
 
 def pairing_census(q: int) -> tuple[int, int, int]:
@@ -286,10 +270,22 @@ def _member_runs(
         if qa == 1:
             ends, p, self_paired = np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, bool)
         else:
-            ends, units, y = _pairing_run(qa, qb)
-            keep = units <= y
-            p, self_paired = units[keep], (units == y)[keep]
-            ends = np.cumsum(keep)[ends - 1]
+            # of p <= q/2 and q - p exactly one is a member, p when p < y
+            # and q - p when p > y, or both when p = y (one slot at q = 2):
+            # mark them in a window over the residues 0..q-1 of each q,
+            # 1 a member and 2 a self-paired one, and read it back in order
+            counts, half, y = _pairing_run(qa, qb)
+            qs = np.arange(qa, qb)
+            stop = np.cumsum(qs)
+            mark = 1 + (half == y)
+            window = np.zeros(int(stop[-1]), np.int8)
+            window[np.repeat(stop - qs, counts) + half] = mark * (half <= y)
+            window[np.repeat(stop, counts) - half] = mark * (half >= y)
+            del counts, half, y, mark
+            p = np.flatnonzero(window)
+            self_paired = window[p] == 2
+            ends = np.searchsorted(p, stop)
+            p -= np.repeat(stop - qs, np.diff(ends, prepend=0))
         if left is not None:
             if left <= p.size:
                 ends = ends[: np.searchsorted(ends, left) + 1]

@@ -636,6 +636,28 @@ def test_dump_samples_match_csv_writer(capsys, monkeypatch, tmp_path, chunk, w, 
     assert path.read_text() == buf.getvalue()
 
 
+def test_wide_tables_are_sliced_by_cells(capsys, monkeypatch, tmp_path):
+    # the six columns of a sample dump share one slice of _CHUNK_ROWS cells
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 60)
+    sizes = []
+    cells = cli._cells
+
+    def spy(values, as_json):
+        sizes.append(len(values))
+        return cells(values, as_json)
+
+    monkeypatch.setattr(cli, "_cells", spy)
+    path = tmp_path / "samples.csv"
+    code, _, _ = run(capsys, "trace", "1/3", "--t0", "2", "--step", "0.01",
+                     "--dump-samples", str(path))
+    assert code == 0
+    dump = sizes[:-7]  # then the seven cells of the one-row result table
+    assert sizes[-7:] == [1] * 7
+    assert sum(dump) == 6 * (len(path.read_text().splitlines()) - 1) and len(dump) > 6
+    slices = [sum(dump[i:i + 6]) for i in range(0, len(dump), 6)]
+    assert max(slices) <= cli._CHUNK_ROWS
+
+
 # Refusals of inputs a count, a series or a trace cannot answer -------------
 
 def _refused_before_work(capsys, tmp_path, argv, code, word):

@@ -219,24 +219,30 @@ def test_family_blocks_cut_at_limit(limit):
 
 def test_runs_match_scan():
     # every q <= 3000 through the runs the family walk makes: the kernel's
-    # units and partners, and the members and self-paired flags read off them
+    # lower half of the units and their partners, the members and
+    # self-paired flags read off them, and the whole pairing of one q
     runs = []
     for qa, ends, p, self_paired in scatterset._member_runs(start=2):
         if qa > 3000:
             break
         qb = qa + ends.size
         runs.append((qa, qb))
-        unit_ends, units, y = scatterset._pairing_run(qa, qb)
+        counts, half, y = scatterset._pairing_run(qa, qb)
         lo = member_lo = 0
-        for q, hi, member_hi in zip(range(qa, qb), unit_ends.tolist(), ends.tolist()):
+        for q, count, member_hi in zip(range(qa, qb), counts.tolist(), ends.tolist()):
+            hi = lo + count
             selfp, pairs, nums = scan_pairing(q)
             mate = {s: s for s in selfp} | dict(pairs) | {b: a for a, b in pairs}
-            assert units[lo:hi].tolist() == sorted(mate), q
-            assert y[lo:hi].tolist() == [mate[u] for u in sorted(mate)], q
+            units = sorted(mate)
+            assert half[lo:hi].tolist() == [u for u in units if 2 * u <= q], q
+            assert y[lo:hi].tolist() == [mate[u] for u in units if 2 * u <= q], q
             assert p[member_lo:member_hi].tolist() == nums, q
             assert self_paired[member_lo:member_hi].tolist() == [n in selfp for n in nums], q
+            whole_units, whole_y = scatterset._pairing(q)
+            assert whole_units.tolist() == units, q
+            assert whole_y.tolist() == [mate[u] for u in units], q
             lo, member_lo = hi, member_hi
-        assert lo == units.size and member_lo == p.size
+        assert lo == half.size and member_lo == p.size
     # runs start at one q and grow to many
     assert runs[0] == (2, 3) and max(b - a for a, b in runs) > 50
     for qa, _ in runs[1:]:
@@ -253,7 +259,7 @@ def test_runs_match_scan():
 @pytest.mark.parametrize("shift", ["one", "modulus"])
 def test_corrupt_inverse_is_caught(monkeypatch, qa, qb, at, shift):
     # a wrong inverse fails p*inv == 1; one off by its modulus passes that
-    # but leaves [1, q), and so does the partner mirrored from it
+    # but puts the partner q - inv outside [1, q)
     mod_pow = scatterset._mod_pow
 
     def corrupt(base, exps, counts, mod):
@@ -271,13 +277,15 @@ def test_corrupt_inverse_is_caught(monkeypatch, qa, qb, at, shift):
 
 @pytest.mark.parametrize("q", [2**16, 5**8, 30030 * 33, 999_983])
 def test_pairing_working_set_within_model(q):
-    tracemalloc.start()
-    try:
-        scatterset._pairing(q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= q + scatterset._PAIRING_BYTES_PER_UNIT * phi(q)
+    # the whole pairing of q, and the walk's first block from q, as gq reads it
+    for work in (lambda: scatterset._pairing(q), lambda: next(scatterset.family_blocks(start=q))):
+        tracemalloc.start()
+        try:
+            work()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= q + scatterset._PAIRING_BYTES_PER_UNIT * phi(q), work
 
 
 def test_pairing_refuses_over_budget(monkeypatch):
