@@ -12,6 +12,7 @@ from .arith import (
     Classification,
     CongruenceClass,
     Factorization,
+    MemoryBudgetExceeded,
     count_sqrt_minus_one,
     factorize,
     classify,
@@ -23,7 +24,6 @@ from .arith import (
 from .counting import (
     AsymptoticReport,
     CountTable,
-    MemoryBudgetExceeded,
     asymptotic_report,
     checkpoint_sums,
     count_geodesics,

@@ -34,15 +34,23 @@ _MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
 # Largest n with n*n <= 2**63 - 1: products of two residues below it, the
 # sieve's prefix sums to x and the scan's p*p + 1 all stay inside int64.
 _INT64_ROOT = math.isqrt(MAX_N)
-# The largest count table sieve_tables builds, at 17 bytes per entry; its
-# size is also the byte budget of every other array working set.
-DEFAULT_LIMIT_CAP = 50_000_000
-_BYTE_BUDGET = 17 * DEFAULT_LIMIT_CAP
+# The byte budget of every working set that grows with the input: the size
+# of the largest count table, 50,000,000 entries at 17 bytes each.
+_BYTE_BUDGET = 17 * 50_000_000
 _SCAN_CHUNK = 1 << 22
 
 
 class MemoryBudgetExceeded(ValueError):
     """A requested table or working set is larger than the memory budget."""
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Refuse a working set of about nbytes bytes, described by what, that
+    would pass the byte budget; call it before anything is allocated."""
+    if nbytes > _BYTE_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"{what} would take about {nbytes} bytes, over the budget of {_BYTE_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)

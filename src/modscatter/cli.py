@@ -189,25 +189,16 @@ _SQ_ROW_BYTES = 390
 _BIN_BYTES = 35
 
 
-def _check_budget(n: int, item_bytes: int, what: str) -> None:
-    """Refuse (exit 4) n items held at once when they would pass the byte
-    budget of the largest count table."""
-    if n * item_bytes > arith._BYTE_BUDGET:
-        raise arith.MemoryBudgetExceeded(
-            f"{n} {what} need about {n * item_bytes} bytes, "
-            f"over the budget of {arith._BYTE_BUDGET}"
-        )
-
-
 def _cmd_sq(args) -> None:
     last = args.to if args.to is not None else args.q
     if last < args.q:
         raise ValueError("--to must not be below q")
-    _check_cap(last - args.q + 1, args, "row count")
+    rows = last - args.q + 1
+    _check_cap(rows, args, "row count")
     if args.brute:  # the scan is O(q) per row
         _check_cap(last, args, "modulus")
     # every row is held until the last: a --brute refusal mid-range writes nothing
-    _check_budget(last - args.q + 1, _SQ_ROW_BYTES, "rows")
+    arith._check_budget(rows * _SQ_ROW_BYTES, f"{rows} rows")
     qs = range(args.q, last + 1)
     counts, solutions = [], []
     for q in qs:
@@ -299,7 +290,7 @@ def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
 def _cmd_histogram(args) -> None:
     _check_cap(args.first, args, "element count")
     _check_cap(args.bins, args, "bin count")
-    _check_budget(args.bins, _BIN_BYTES, "bins")
+    arith._check_budget(args.bins * _BIN_BYTES, f"{args.bins} bins")
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts = np.zeros(args.bins, dtype=np.int64)
     for qa, ends, p, _ in scatterset._member_runs(args.first):
@@ -454,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (counting.MemoryBudgetExceeded, ResourceCapExceeded) as exc:
+    except (arith.MemoryBudgetExceeded, ResourceCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import _INT64_ROOT, DEFAULT_LIMIT_CAP, MemoryBudgetExceeded, _small_primes
+from .arith import _INT64_ROOT, _check_budget, _small_primes
 from .scatterset import _require_t0
 
 # Entries per streamed-sieve segment, chosen by timing 2^18..2^22: smaller
@@ -123,15 +123,13 @@ def _carried_segments(top: int):
 def sieve_tables(limit: int) -> CountTable:
     """Materialized count table for all q <= limit.
 
-    Rejects limits above DEFAULT_LIMIT_CAP (the stored arrays cost 17 bytes
-    per entry); use point_sums for isolated large evaluation points.
+    Rejects a limit whose stored arrays, 17 bytes per entry, would pass the
+    byte budget (above 50,000,000 entries); use point_sums for isolated
+    large evaluation points.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    if limit > DEFAULT_LIMIT_CAP:
-        raise MemoryBudgetExceeded(
-            f"limit {limit} exceeds the table budget of {DEFAULT_LIMIT_CAP} entries"
-        )
+    _check_budget(17 * limit, f"a count table of {limit} entries")
     size = limit + 1
     roots = np.empty(size, dtype=np.uint8)
     odd_roots_cum = np.empty(size, dtype=np.int64)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _BYTE_BUDGET, MemoryBudgetExceeded
+from .arith import _check_budget
 from .scatterset import UnimodularMatrix, _require_t0, partner, sojourn_time
 
 DEFAULT_EPS = 1e-9
@@ -217,11 +217,7 @@ def trace_sojourn(
         raise ValueError(f"t0 = {t0} with q = {q} is too large: the ratio of the start "
                          f"height to the exit height overflows a float")
     samples = math.ceil(math.log(span) / step) + 1
-    if samples * _SAMPLE_BYTES > _BYTE_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"{samples} samples need about {samples * _SAMPLE_BYTES} bytes, "
-            f"over the budget of {_BYTE_BUDGET}"
-        )
+    _check_budget(samples * _SAMPLE_BYTES, f"{samples} samples")
     # built in place, without the full-size temporaries of the expressions
     # t = arange*step, y = y_start*exp(-t), z = w + 1j*y (same values)
     t = np.arange(samples, dtype=np.float64)

@@ -9,8 +9,9 @@ geodesics of the modular surface that escape to the cusp in both directions.
 The family is ordered by denominator first, fraction value second.  One
 vectorised kernel lists the lower half p <= q/2 of the units of a run of
 consecutive denominators with their partners, which fixes the rest: q - p
-has partner q - y.  scatter_set and pairing_census mirror it for one q, and
-the columnar family_blocks reads the family off it a run at a time.
+has partner q - y.  scatter_set and pairing_census read one q straight off
+that half, and the columnar family_blocks reads the family off it a run at
+a time.
 
 Two fractions p1/q and p2/q (denominators >= 2) label the same geodesic
 exactly when q divides p1*p2 + 1; the witness is the determinant-1 matrix
@@ -29,16 +30,16 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
-from .arith import _BYTE_BUDGET, _INT64_ROOT, MemoryBudgetExceeded
+from .arith import _INT64_ROOT, _check_budget
 
 INFINITY = math.inf
 # Bytes per unit of the working set the pairing of one q is budgeted:
 # q + 42*phi(q).  The kernel holds one mask byte per residue of the lower
 # half and, per unit of that half, the unit, its partner, the modulus, the
-# base it squares and one check temporary.  _pairing(q) adds the mirrored
-# units and partners, family_blocks an int8 window over the residues of q:
-# measured with tracemalloc (numpy 2.4), q/2 + 23.5*phi(q) and q + 25*phi(q)
-# at most, for q prime, a prime power and products of small primes.
+# base it squares and one check temporary; family_blocks adds an int8
+# window over the residues of q.  Measured with tracemalloc (numpy 2.4),
+# pairing_census takes q/2 + 17.6*phi(q) and family_blocks q + 25*phi(q) at
+# most, for q prime, a prime power and products of small primes.
 _PAIRING_BYTES_PER_UNIT = 42
 
 
@@ -134,12 +135,16 @@ def scatter_set(q: int) -> ScatterSet:
         raise ValueError("q must be positive")
     if q == 1:
         return ScatterSet(1, (), (), (Fraction(0),))
-    units, y = _pairing(q)
-    low = units < y
-    selfp = units[units == y].tolist()
-    pairs = tuple(zip(units[low].tolist(), y[low].tolist()))
+    _, p, y = _pairing_run(q, q + 1)
+    # an orbit {p, y} of the lower half with p > y mirrors to {q - p, q - y},
+    # whose minimum q - p lies above q/2: reversed, those come last in order
+    low, high = p < y, p > y
+    pairs = tuple(zip(np.concatenate([p[low], q - p[high][::-1]]).tolist(),
+                      np.concatenate([y[low], q - y[high][::-1]]).tolist()))
+    fixed = p[p == y]
+    selfp = np.union1d(fixed, q - fixed).tolist()  # q = 2: 1 is its own mirror
     # built from the ints already held, not a third list of them (peak memory)
-    members = tuple(Fraction(p, q) for p in sorted(selfp + [a for a, _ in pairs]))
+    members = tuple(Fraction(m, q) for m in sorted(selfp + [a for a, _ in pairs]))
     return ScatterSet(q, tuple(selfp), pairs, members)
 
 
@@ -186,12 +191,7 @@ def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi = q
         for p in ps:
             phi -= phi // p
-        need = q + _PAIRING_BYTES_PER_UNIT * phi
-        if need > _BYTE_BUDGET:
-            raise MemoryBudgetExceeded(
-                f"q = {q} needs {need} bytes for its {phi} units, "
-                f"over the budget of {_BYTE_BUDGET}"
-            )
+        _check_budget(q + _PAIRING_BYTES_PER_UNIT * phi, f"q = {q} with {phi} units")
         primes.append(ps)
         phis.append(phi)
     # one mask over the residues 0..q//2 of each q in turn
@@ -220,25 +220,17 @@ def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return counts, p, y
 
 
-def _pairing(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units mod q in ascending order and the partner of each: the
-    lower half of the run of the one denominator q, then its mirror."""
-    _, p, y = _pairing_run(q, q + 1)
-    if q > 2:  # q = 2's one unit, 1, is its own mirror
-        p = np.concatenate([p, q - p[::-1]])
-        y = np.concatenate([y, q - y[::-1]])
-    return p, y
-
-
 def pairing_census(q: int) -> tuple[int, int, int]:
     """Counts of the partner involution mod q, read off the pairing kernel.
 
     Returns (units, self_paired, members) where units equals phi(q); the
     member count comes from the pairing itself, not from a closed form.
     """
-    units, y = _pairing(q)
-    self_paired = int((y == units).sum())
-    return len(units), self_paired, self_paired + (len(units) - self_paired) // 2
+    _, p, y = _pairing_run(q, q + 1)
+    # each unit p < q/2 stands for itself and q - p; q = 2's one unit is both
+    units = 2 * len(p) - (q == 2)
+    self_paired = 2 * int((p == y).sum()) - (q == 2)
+    return units, self_paired, self_paired + (units - self_paired) // 2
 
 
 # Residues a run of denominators covers at most, unless one q has more: the

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from modscatter import arith, counting, scatterset
+from modscatter.arith import MemoryBudgetExceeded
 from modscatter.counting import (
-    MemoryBudgetExceeded,
     asymptotic_report,
     checkpoint_sums,
     count_geodesics,
@@ -41,9 +41,17 @@ def test_small_prefix_values(table_1e4):
     assert total_members(5, table_1e4) == 7  # 1 + 1 + 1 + 1 + 3
 
 
-def test_budget_rejected():
-    with pytest.raises(MemoryBudgetExceeded):
-        sieve_tables(10**9)
+def test_budget_rejected(monkeypatch):
+    def alloc(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "empty", alloc)
+    # 17 bytes an entry: one entry past 50,000,000 passes the budget
+    for limit in (10**9, 50_000_001):
+        with pytest.raises(MemoryBudgetExceeded, match="budget"):
+            sieve_tables(limit)
+    with pytest.raises(AssertionError, match="allocated before refusing"):
+        sieve_tables(50_000_000)
     with pytest.raises(ValueError):
         sieve_tables(0)
 

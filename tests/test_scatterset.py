@@ -219,8 +219,8 @@ def test_family_blocks_cut_at_limit(limit):
 
 def test_runs_match_scan():
     # every q <= 3000 through the runs the family walk makes: the kernel's
-    # lower half of the units and their partners, the members and
-    # self-paired flags read off them, and the whole pairing of one q
+    # lower half of the units and their partners, and the members and
+    # self-paired flags read off them
     runs = []
     for qa, ends, p, self_paired in scatterset._member_runs(start=2):
         if qa > 3000:
@@ -238,9 +238,6 @@ def test_runs_match_scan():
             assert y[lo:hi].tolist() == [mate[u] for u in units if 2 * u <= q], q
             assert p[member_lo:member_hi].tolist() == nums, q
             assert self_paired[member_lo:member_hi].tolist() == [n in selfp for n in nums], q
-            whole_units, whole_y = scatterset._pairing(q)
-            assert whole_units.tolist() == units, q
-            assert whole_y.tolist() == [mate[u] for u in units], q
             lo, member_lo = hi, member_hi
         assert lo == half.size and member_lo == p.size
     # runs start at one q and grow to many
@@ -277,8 +274,8 @@ def test_corrupt_inverse_is_caught(monkeypatch, qa, qb, at, shift):
 
 @pytest.mark.parametrize("q", [2**16, 5**8, 30030 * 33, 999_983])
 def test_pairing_working_set_within_model(q):
-    # the whole pairing of q, and the walk's first block from q, as gq reads it
-    for work in (lambda: scatterset._pairing(q), lambda: next(scatterset.family_blocks(start=q))):
+    # the census of q, and the walk's first block from q, as gq reads it
+    for work in (lambda: pairing_census(q), lambda: next(scatterset.family_blocks(start=q))):
         tracemalloc.start()
         try:
             work()
@@ -297,6 +294,15 @@ def test_pairing_refuses_over_budget(monkeypatch):
             pairing_census(q)
         with pytest.raises(MemoryBudgetExceeded):
             next(scatterset.family_blocks(start=q))
+    # a prime q is budgeted q + 42*(q - 1) bytes, past 850,000,000 from
+    # q = 19,767,443 on: the first prime there is refused, the prime below
+    # gets past the guard
+    assert arith.is_prime(19_767_439) and arith.is_prime(19_767_457)
+    assert not any(arith.is_prime(q) for q in range(19_767_440, 19_767_457))
+    with pytest.raises(MemoryBudgetExceeded, match="budget"):
+        pairing_census(19_767_457)
+    with pytest.raises(AttributeError):  # reached numpy
+        pairing_census(19_767_439)
 
 
 def test_equivalence_golden():
