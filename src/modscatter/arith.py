@@ -147,12 +147,15 @@ def _small_primes(n: int) -> np.ndarray:
     """Primes up to n, ascending, as int64."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
+    sieve = np.ones((n + 1) // 2, dtype=bool)  # sieve[i] stands for 2i + 1, sieve[0] for 2
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = False  # the odd multiples of p from p*p
+    primes = np.flatnonzero(sieve)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 # (top, the primes up to top as int64): sieved on first need, never at

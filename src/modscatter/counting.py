@@ -38,15 +38,19 @@ from .arith import _INT64_ROOT, _check_budget, _small_primes
 from .scatterset import _require_t0
 
 # Entries per streamed-sieve segment, chosen by timing 2^18..2^22: smaller
-# segments shrink the working arrays (about 60 bytes per entry), larger ones
+# segments shrink the working arrays (about 35 bytes per entry), larger ones
 # keep the per-segment loop over the primes a small share of the work; 2^20
-# was the fastest sieve to 2e8 and as fast as any to 1e7.
+# was the fastest sieve to 1e8 and 2e8 and as fast as any to 1e7.
 _SEGMENT = 1 << 20
 # The sublinear table stops below this many entries.  sublinear_sums adds
 # table values in int64 blocks of at most x*_POINT_TABLE/2, which stays below
 # 2**63 up to _POINT_SUMS_MAX; its running totals are Python ints.
 _POINT_TABLE = 1 << 22
 _POINT_SUMS_MAX = 10**12
+# Cost of one streamed-sieve entry in _sublinear_work's unit: timed on one
+# core at 1e6 to 5e7, where the sieve took 26-28 ns an entry and the unit
+# 38-51 ns, the routes breaking even near 250 points to 1e6 and 1,100 to 1e7.
+_SIEVE_ENTRY_WORK = 0.6
 
 
 @dataclass(frozen=True)
@@ -61,17 +65,24 @@ class CountTable:
 
 
 def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
-    """phi and root-count arrays for the values lo, lo+1, ..., hi-1.
+    """phi (uint32) and root-count (uint8) arrays for the values lo, lo+1,
+    ..., hi-1, with hi <= 2**32.
 
-    `primes` must cover every prime up to sqrt(hi - 1).  Only slice
-    operations touch the arrays: one pass per prime for phi and the root
-    count, one pass per prime power to strip factors off `rem`.  The root
-    count starts at 1 and doubles per prime == 1 (mod 4); a prime == 3
-    (mod 4) or a factor 4 zeroes it.
+    `primes` must cover every prime up to sqrt(hi - 1).  Only uint32 slice
+    multiplies touch the arrays: per prime p, f *= p - 1 and s *= p on its
+    multiples, and f *= p, s *= p on those of each higher power, so s is the
+    part of n made of sieving primes and f its totient.  Each value divides
+    n, so none wraps (at n = 0 they do, but s keeps a factor 2**k < 2**32
+    and is not 0).  The cofactor r = n / s, exact in float64, is 1, 0 at
+    n = 0, or one prime above the last sieving prime; phi = f * (r - 1)
+    when r > 1, else f * r.  The root count starts at 1 and doubles per
+    prime == 1 (mod 4); a prime == 3 (mod 4) or a factor 4 zeroes it.  The
+    callers stay below 2**32: checkpoint_sums refuses points past
+    _INT64_ROOT and the sublinear table stops below _POINT_TABLE.
     """
     n = hi - lo
-    phi = np.arange(lo, hi, dtype=np.int64)
-    rem = phi.copy()
+    f = np.ones(n, dtype=np.uint32)
+    s = np.ones(n, dtype=np.uint32)
     roots = np.ones(n, dtype=np.uint8)
     roots[-lo % 4 :: 4] = 0  # multiples of 4 (and 0) never admit a root
     for p in primes.tolist():
@@ -79,43 +90,66 @@ def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
         if first >= hi:
             continue
         sl = slice(first - lo, n, p)
-        phi[sl] -= phi[sl] // p
+        f[sl] *= p - 1
+        s[sl] *= p
         if p % 4 == 1:
             roots[sl] <<= 1
         elif p % 4 == 3:
             roots[sl] = 0
-        pk = p
+        pk = p * p
         while pk < hi:
             fk = -(-lo // pk) * pk
             if fk < hi:
-                rem[fk - lo :: pk] //= p
+                sl = slice(fk - lo, n, pk)
+                f[sl] *= p
+                s[sl] *= p
             pk *= p
-    big = np.flatnonzero(rem > 1)  # leftover cofactors are primes above sqrt(hi - 1)
-    if big.size:
-        r = rem[big]
-        phi[big] = phi[big] // r * (r - 1)
-        r4 = r & 3
-        roots[big[r4 == 3]] = 0
-        roots[big[r4 == 1]] <<= 1
-    return phi, roots
+    r = np.arange(lo, hi, dtype=np.float64)
+    r /= s
+    m = s  # reuses the buffer: m = r - 1 for a prime cofactor, else r
+    np.copyto(m, r, casting="unsafe")
+    del r
+    m -= m > 1
+    f *= m
+    # m % 4 is 0 past a prime == 1 (mod 4), 2 past one == 3 (mod 4), 1 at r = 1
+    roots *= _COFACTOR_ROOTS[m & 3]
+    return f, roots
 
 
-def _carried_segments(top: int):
+# Root-count factor of the cofactor r, indexed by (r - (r > 1)) % 4.
+_COFACTOR_ROOTS = np.array([2, 1, 0, 0], dtype=np.uint8)
+
+
+def _carried_segments(top: int, table: CountTable | None = None):
     """Sieve 0..top segment by segment, yielding (lo, roots, c_odd,
     c_members): the segment's root counts and the running prefix sums of
-    roots over odd q and of (phi + roots)/2, carried across segments."""
+    roots over odd q and of (phi + roots)/2, carried across segments.
+
+    With a table to top, each segment is written straight into its slices
+    and the prefix sums yielded are those slices; without, they go to two
+    segment buffers reused from one segment to the next.
+    """
     primes = _small_primes(math.isqrt(top))
+    if table is None:
+        size = min(_SEGMENT, top + 1)
+        buf_odd, buf_members = np.empty(size, np.int64), np.empty(size, np.int64)
     run_odd = run_members = 0
     for lo in range(0, top + 1, _SEGMENT):
-        c_members, rt = _phi_roots_segment(lo, min(lo + _SEGMENT, top + 1), primes)
-        c_odd = rt.astype(np.int64)
-        c_odd[lo % 2 :: 2] = 0  # zero the even-q slots
-        np.cumsum(c_odd, out=c_odd)
-        c_odd += run_odd
-        c_members += rt  # summed in place in the phi buffer
-        c_members >>= 1  # phi + roots is even termwise
-        np.cumsum(c_members, out=c_members)
+        hi = min(lo + _SEGMENT, top + 1)
+        phi, rt = _phi_roots_segment(lo, hi, primes)
+        if table is None:
+            c_odd, c_members = buf_odd[: hi - lo], buf_members[: hi - lo]
+        else:
+            table.roots[lo:hi] = rt
+            c_odd, c_members = table.odd_roots_cum[lo:hi], table.members_cum[lo:hi]
+        phi += rt  # phi + roots stays below 2**32 and is even termwise
+        phi >>= 1
+        np.cumsum(phi, dtype=np.int64, out=c_members)
         c_members += run_members
+        odd = rt.copy()
+        odd[lo % 2 :: 2] = 0  # zero the even-q slots
+        np.cumsum(odd, dtype=np.int64, out=c_odd)
+        c_odd += run_odd
         run_odd, run_members = int(c_odd[-1]), int(c_members[-1])
         yield lo, rt, c_odd, c_members
 
@@ -131,15 +165,11 @@ def sieve_tables(limit: int) -> CountTable:
         raise ValueError("limit must be positive")
     _check_budget(17 * limit, f"a count table of {limit} entries")
     size = limit + 1
-    roots = np.empty(size, dtype=np.uint8)
-    odd_roots_cum = np.empty(size, dtype=np.int64)
-    members_cum = np.empty(size, dtype=np.int64)
-    for lo, rt, c_odd, c_members in _carried_segments(limit):
-        hi = lo + rt.size
-        roots[lo:hi] = rt
-        odd_roots_cum[lo:hi] = c_odd
-        members_cum[lo:hi] = c_members
-    return CountTable(limit, roots, odd_roots_cum, members_cum)
+    table = CountTable(limit, np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.int64),
+                       np.empty(size, dtype=np.int64))
+    for _ in _carried_segments(limit, table):
+        pass
+    return table
 
 
 def _sorted_points(points: Iterable[int]) -> list[int]:
@@ -253,11 +283,9 @@ def sublinear_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     if top > _POINT_SUMS_MAX:
         raise ValueError(f"x = {top} exceeds {_POINT_SUMS_MAX}, the exact range of sublinear_sums")
     b = _table_size(top)
-    # Primes to sqrt(b) would do, but every entry left with a cofactor above
-    # the last prime goes through the segment's int64 cofactor pass; primes
-    # to sqrt(top) leave far fewer there and keep the peak memory lower.
-    phi_cum, roots = _phi_roots_segment(0, b + 1, _small_primes(math.isqrt(top)))
-    np.cumsum(phi_cum, out=phi_cum)
+    phi, roots = _phi_roots_segment(0, b + 1, _small_primes(math.isqrt(b)))
+    phi_cum = np.cumsum(phi, dtype=np.int64)
+    del phi
     roots_cum = np.cumsum(roots, dtype=np.int64)
     totals: dict[int, int] = {}  # T(v), shared by the points
 
@@ -284,9 +312,10 @@ def point_sums(x: int) -> tuple[int, int, int]:
 
 
 def _sublinear_work(want: list[int]) -> float:
-    """Cost of sublinear_sums(want) in streamed-sieve entries (about 90 ns
-    each on one core).  Fitted to timings on one core: the table costs 3400
-    plus 2 entries per value up to b; a point x above b, with m = x // (b + 1),
+    """Cost of sublinear_sums(want) in units of about 90 ns on one core, of
+    which a streamed-sieve entry costs _SIEVE_ENTRY_WORK.  Fitted to timings
+    on one core: the table costs 3400 plus 2 units per value up to b; a
+    point x above b, with m = x // (b + 1),
     adds its totient recursion (100 per step for m steps, 0.27 per element
     of its arrays, about x/sqrt(b) of them) and the root-sum recursions of
     its m.bit_length() halvings above b (270 each, 550*sqrt(m) for their
@@ -310,7 +339,7 @@ def sums_at(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     want = _sorted_points(points)
     if not want:
         return {}
-    if want[-1] > _INT64_ROOT or _sublinear_work(want) < want[-1]:
+    if want[-1] > _INT64_ROOT or _sublinear_work(want) < _SIEVE_ENTRY_WORK * want[-1]:
         return sublinear_sums(want)
     return checkpoint_sums(want)
 

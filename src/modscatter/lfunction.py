@@ -85,10 +85,10 @@ def series_by_sum(
         raise ValueError("n_max must be positive")
     if table is None or table.limit < n_max:
         table = counting.sieve_tables(n_max)
-    weights = table.roots[: n_max + 1].astype(np.float64)
-    weights[::2] = 0.0
-    idx = np.nonzero(weights)[0]
-    value = float(np.sum(weights[idx] * idx.astype(np.float64) ** (-s)))
+    odd = table.roots[1 : n_max + 1 : 2]  # odd[i] is roots(2i + 1)
+    idx = np.flatnonzero(odd)
+    n = (2 * idx + 1).astype(np.float64)
+    value = float(np.sum(odd[idx] * n ** (-s)))
     tail = 2.0 * n_max ** (1.5 - s) / (s - 1.5)
     return SeriesValue(s, value, n_max, tail)
 

@@ -41,6 +41,11 @@ INFINITY = math.inf
 # pairing_census takes q/2 + 17.6*phi(q) and family_blocks q + 25*phi(q) at
 # most, for q prime, a prime power and products of small primes.
 _PAIRING_BYTES_PER_UNIT = 42
+# Bytes per unit scatter_set is budgeted: one Fraction per member and a
+# tuple of two ints per pair, on top of the kernel.  Measured with
+# tracemalloc (numpy 2.4), 136-137 bytes per unit for q prime, a prime power
+# and products of small primes from 1e5 to 1e6.
+_SCATTER_SET_BYTES_PER_UNIT = 150
 
 
 class UnimodularMatrix:
@@ -130,11 +135,18 @@ class ScatterSet:
 
 
 def scatter_set(q: int) -> ScatterSet:
-    """Build the fraction family for denominator q from the partner pairing."""
+    """Build the fraction family for denominator q from the partner pairing.
+
+    A q whose family would pass the byte budget, at
+    _SCATTER_SET_BYTES_PER_UNIT bytes per unit, is refused before the
+    pairing kernel runs."""
     if q < 1:
         raise ValueError("q must be positive")
     if q == 1:
         return ScatterSet(1, (), (), (Fraction(0),))
+    _check_square(q, q + 1)
+    phi = _totient(q)[1]
+    _check_budget(_SCATTER_SET_BYTES_PER_UNIT * phi, f"the family of q = {q} with {phi} units")
     _, p, y = _pairing_run(q, q + 1)
     # an orbit {p, y} of the lower half with p > y mirrors to {q - p, q - y},
     # whose minimum q - p lies above q/2: reversed, those come last in order
@@ -167,6 +179,23 @@ def _mod_pow(base: np.ndarray, exps: np.ndarray, counts: np.ndarray,
     return result
 
 
+def _check_square(qa: int, qb: int) -> None:
+    """Refuse the denominators [qa, qb) when the square of the last one
+    leaves int64."""
+    if qb - 1 > _INT64_ROOT:
+        q = max(qa, _INT64_ROOT + 1)
+        raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where q*q leaves int64")
+
+
+def _totient(q: int) -> tuple[list[int], int]:
+    """The distinct prime factors of q, ascending, and phi(q)."""
+    ps = [p for p, _ in arith.factorize(q).factors]
+    phi = q
+    for p in ps:
+        phi -= phi // p
+    return ps, phi
+
+
 def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The units p <= q/2 of every q in [qa, qb), q by q and ascending
     within each, the partner y of each, and how many each q has,
@@ -181,16 +210,11 @@ def _pairing_run(qa: int, qb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if qa < 2:
         raise ValueError("q must be at least 2")
-    if qb - 1 > _INT64_ROOT:
-        q = max(qa, _INT64_ROOT + 1)
-        raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where q*q leaves int64")
+    _check_square(qa, qb)
     qs = range(qa, qb)
     primes, phis = [], []
     for q in qs:
-        ps = [p for p, _ in arith.factorize(q).factors]
-        phi = q
-        for p in ps:
-            phi -= phi // p
+        ps, phi = _totient(q)
         _check_budget(q + _PAIRING_BYTES_PER_UNIT * phi, f"q = {q} with {phi} units")
         primes.append(ps)
         phis.append(phi)

@@ -77,7 +77,7 @@ def test_criterion_4_exact_identities(table_1e7):
         odd_cum = table_1e7.odd_roots_cum
         assert (roots_cum[1:] == odd_cum[1 : top + 1] + odd_cum[x // 2]).all()
         phi, _ = counting._phi_roots_segment(0, top + 1, counting._small_primes(math.isqrt(top)))
-        phibar = np.cumsum(phi)
+        phibar = np.cumsum(phi, dtype=np.int64)
         assert (2 * table_1e7.members_cum[: top + 1] == phibar + roots_cum).all()
 
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from modscatter import arith
@@ -140,6 +141,15 @@ def test_factorize_stops_at_cube_root(monkeypatch, n, factors):
     monkeypatch.setattr(arith, "_trial_divisors", record)
     assert factorize(n).factors == factors
     assert asked and max(asked) <= cube
+
+
+def test_small_primes_odd_sieve():
+    # ascending int64 with 2 first, against trial division, for every n <= 200
+    for n in range(201):
+        expect = [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+        primes = arith._small_primes(n)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == expect, n
 
 
 def test_is_prime_witness_prefixes():

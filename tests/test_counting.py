@@ -98,7 +98,7 @@ def test_split_identity_everywhere(table_1e4):
 
 
 def test_member_identity_everywhere(table_1e4):
-    phibar = np.cumsum(_phi(table_1e4.limit))
+    phibar = np.cumsum(_phi(table_1e4.limit), dtype=np.int64)
     roots_cum = np.cumsum(table_1e4.roots, dtype=np.int64)
     assert (2 * table_1e4.members_cum == phibar + roots_cum).all()
 
@@ -224,6 +224,34 @@ def test_convergence_trend(table_1e7):
         assert errs[-1] < 0.05
 
 
+def test_segment_at_the_int64_bound():
+    # the last segment checkpoint_sums could need reaches past _INT64_ROOT,
+    # where the kernel's uint32 products come closest to 2**32: phi and the
+    # root count against factorize on primes, multiples of prime squares,
+    # values whose one prime cofactor lies just above sqrt(hi), and random
+    # values
+    hi = counting._INT64_ROOT + 2
+    lo = hi - (1 << 16)
+    root = math.isqrt(hi - 1)
+    phi, roots = counting._phi_roots_segment(lo, hi, counting._small_primes(root))
+    assert phi.dtype == np.uint32 and roots.dtype == np.uint8
+    rng = random.Random(11)
+    primes = [n for n in range(lo, hi) if arith.is_prime(n)][:40]
+    squares = [k * p * p for p in (2, 3, 5, 13, 101, 251) for k in
+               range(-(-lo // (p * p)), (hi - 1) // (p * p) + 1)][::50]
+    big = [p for p in range(root + 1, root + 2000) if arith.is_prime(p)]
+    cofactored = [k * p for p in big for k in range(-(-lo // p), (hi - 1) // p + 1)]
+    sample = [*primes, *squares, *cofactored, hi - 1, *(rng.randrange(lo, hi) for _ in range(300))]
+    assert len(primes) == 40 and len(squares) > 100 and len(cofactored) > 100
+    for n in sample:
+        f = arith.factorize(n)
+        expected = n
+        for p, _ in f.factors:
+            expected -= expected // p
+        assert int(phi[n - lo]) == expected, n
+        assert int(roots[n - lo]) == arith.count_sqrt_minus_one(f), n
+
+
 def test_checkpoints_refuse_int64_wrap(monkeypatch):
     def sieve(*args):
         raise AssertionError("sieved before refusing")
@@ -322,6 +350,11 @@ def test_sums_at_picks_the_cheaper_route(monkeypatch):
     assert routes[1:] == [("checkpoint_sums", dense)]
     assert sums_at(sweep) == checkpoint_sums(sweep)
     assert routes[2:] == [("sublinear_sums", sweep)]
+    # past the break-even, near 1,100 points to 1e7, one sieve is cheaper
+    wide = _sweep(10**7, 1500)
+    expect = sublinear_sums(wide)
+    assert sums_at(wide) == expect
+    assert routes[3:] == [("checkpoint_sums", wide)]
     assert sums_at([]) == {}
     with pytest.raises(ValueError):
         sums_at([5, -1])
@@ -329,7 +362,7 @@ def test_sums_at_picks_the_cheaper_route(monkeypatch):
     expect = checkpoint_sums(dense)
     monkeypatch.setattr(counting, "_INT64_ROOT", dense[0] - 1)
     assert sums_at(dense) == expect
-    assert routes[3:] == [("sublinear_sums", dense)]
+    assert routes[4:] == [("sublinear_sums", dense)]
     with pytest.raises(ValueError, match="sublinear_sums"):
         checkpoint_sums(dense)
 

@@ -3,6 +3,7 @@ import math
 import pytest
 import scipy.special
 
+from modscatter.arith import count_sqrt_minus_one
 from modscatter.counting import sieve_tables
 from modscatter.lfunction import (
     dirichlet_beta,
@@ -83,6 +84,26 @@ def test_partial_sums_nondecreasing():
         val = series_by_sum(2.0, n_max, table=table).value
         assert val >= prev
         prev = val
+
+
+def test_partial_sum_matches_plain_loop():
+    # roots(n)/n^s over odd n <= n_max, added in order: bit for bit while
+    # fewer than 8 terms are nonzero (numpy sums those in order too), to
+    # rounding past that
+    table = sieve_tables(5000)
+    for n_max in (1, 2, 3, 4, 5, 12, 13, 14, 40, 999, 1000, 5000):
+        for s in (1.6, 2.345, 4.0):
+            total, terms = 0.0, 0
+            for n in range(1, n_max + 1, 2):
+                r = count_sqrt_minus_one(n)
+                if r:
+                    total += r * float(n) ** -s
+                    terms += 1
+            value = series_by_sum(s, n_max, table=table).value
+            if terms < 8:
+                assert value == total, (n_max, s)
+            else:
+                assert value == pytest.approx(total, rel=1e-14), (n_max, s)
 
 
 def test_divisor_function_domination():

@@ -305,6 +305,34 @@ def test_pairing_refuses_over_budget(monkeypatch):
         pairing_census(19_767_439)
 
 
+@pytest.mark.parametrize("q", [99991, 3**9, 2 * 3 * 5 * 7 * 11 * 13])
+def test_scatter_set_within_model(q):
+    tracemalloc.start()
+    try:
+        scatter_set(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= scatterset._SCATTER_SET_BYTES_PER_UNIT * phi(q)
+
+
+def test_scatter_set_refuses_over_budget(monkeypatch):
+    # a prime q is budgeted 150*(q - 1) bytes, past 850,000,000 from
+    # q = 5,666,668 on: the first prime there is refused before the kernel
+    # runs, the prime below reaches it
+    def kernel(qa, qb):
+        raise AssertionError("reached the kernel")
+
+    monkeypatch.setattr(scatterset, "_pairing_run", kernel)
+    assert arith.is_prime(5_666_641) and arith.is_prime(5_666_677)
+    assert not any(arith.is_prime(q) for q in range(5_666_642, 5_666_677))
+    assert scatterset._SCATTER_SET_BYTES_PER_UNIT * 5_666_676 > arith._BYTE_BUDGET
+    with pytest.raises(MemoryBudgetExceeded, match="budget"):
+        scatter_set(5_666_677)
+    with pytest.raises(AssertionError, match="reached the kernel"):
+        scatter_set(5_666_641)
+
+
 def test_equivalence_golden():
     assert equivalence_witness(Fraction(1, 5), Fraction(4, 5)) == UnimodularMatrix(4, -1, 5, -1)
     assert equivalence_witness(Fraction(1, 3), Fraction(1, 3)) == UnimodularMatrix.identity()
