@@ -24,12 +24,12 @@ from .arith import (
 from .counting import (
     AsymptoticReport,
     CountTable,
+    Sums,
     asymptotic_report,
     checkpoint_sums,
     count_geodesics,
     main_term,
     odd_modulus_roots,
-    point_sums,
     roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,

@@ -258,7 +258,7 @@ def _cmd_count(args) -> None:
                                  f"t0 = {args.t0}, not positive and finite as a float")
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
         sums = _sums_at(thresholds.values(), args)
-        exact = [(y, sums[thresholds[y]][2]) for y in ys]
+        exact = [(y, sums[thresholds[y]].psi) for y in ys]
     else:
         if args.x is None:
             raise ValueError(f"kind {kind!r} needs --x")
@@ -266,8 +266,7 @@ def _cmd_count(args) -> None:
             raise ValueError(f"--x must be at least 1, got {args.x}")
         xs = _log_spaced(args.x, args.points)
         sums = _sums_at(xs, args)
-        column = {"S": 0, "tau": 1, "psi": 2}[kind]
-        exact = [(float(x), sums[x][column]) for x in xs]
+        exact = [(float(x), getattr(sums[x], kind)) for x in xs]
     reports = [counting.AsymptoticReport(kind, x, n, counting.main_term(kind, x, args.t0))
                for x, n in exact]
     columns = ["x", "exact", "predicted", "ratio", "abs_error"]
@@ -275,7 +274,7 @@ def _cmd_count(args) -> None:
                   args.format, args.out)
 
 
-def _sums_at(points, args) -> dict[int, tuple[int, int, int]]:
+def _sums_at(points, args) -> dict[int, counting.Sums]:
     pts = sorted(set(points))
     _check_cap(pts[-1], args, "evaluation point")
     # Below the sieve's int64 bound the route taken costs at most one sieve
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common],
                        help="counting function vs. its first-order law; "
                             "columns x,exact,predicted,ratio,abs_error")
-    p.add_argument("kind", choices=("S", "tau", "psi", "pi"),
+    p.add_argument("kind", choices=counting._KINDS,
                    help="S: roots over all moduli; tau: odd moduli only; "
                         "psi: scattering fractions by denominator; "
                         "pi: geodesics by sojourn bound (uses --Y and --t0)")

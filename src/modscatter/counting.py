@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,15 @@ class CountTable:
     roots: np.ndarray          # uint8: solutions of p^2 == -1 (mod q), with roots[1] = 1
     odd_roots_cum: np.ndarray  # int64: cumulative roots over odd q only
     members_cum: np.ndarray    # int64: cumulative (phi + roots) / 2
+
+
+class Sums(NamedTuple):
+    """The exact counts at one x, one field per count kind: S = T(x), tau =
+    t(x) and psi = M(x).  A tuple in this order, so positional reads hold."""
+
+    S: int
+    tau: int
+    psi: int
 
 
 def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
@@ -158,7 +167,7 @@ def sieve_tables(limit: int) -> CountTable:
     """Materialized count table for all q <= limit.
 
     Rejects a limit whose stored arrays, 17 bytes per entry, would pass the
-    byte budget (above 50,000,000 entries); use point_sums for isolated
+    byte budget (above 50,000,000 entries); use sublinear_sums for isolated
     large evaluation points.
     """
     if limit < 1:
@@ -180,9 +189,9 @@ def _sorted_points(points: Iterable[int]) -> list[int]:
     return want
 
 
-def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
-    """(total roots, odd-q roots, members) at each requested x, streamed
-    segment by segment so memory stays bounded regardless of max(points)."""
+def checkpoint_sums(points: Iterable[int]) -> dict[int, Sums]:
+    """The Sums at each x, streamed segment by segment so memory stays
+    bounded regardless of max(points)."""
     want = _sorted_points(points)
     if not want:
         return {}
@@ -202,7 +211,7 @@ def checkpoint_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
             nxt = next(pending, None)
         if nxt is None:
             break
-    return {x: (tau[x] + tau[x // 2], tau[x], members[x]) for x in want}
+    return {x: Sums(tau[x] + tau[x // 2], tau[x], members[x]) for x in want}
 
 
 def _chi4_divisor_sum(y: int) -> int:
@@ -266,9 +275,8 @@ def _table_size(top: int) -> int:
     return max(min(round(top ** (2 / 3)), _POINT_TABLE - 1), math.isqrt(top))
 
 
-def sublinear_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
-    """The checkpoint_sums tuple at each point, without sieving to the
-    largest point.
+def sublinear_sums(points: Iterable[int]) -> dict[int, Sums]:
+    """The Sums at each x, without sieving to the largest point.
 
     One table serves every point: the phi and root prefix sums, sieved up to
     b = _table_size(max(points)).  A point or halving up to b is read off
@@ -300,15 +308,8 @@ def sublinear_sums(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
         odd = sum(halves[0::2]) - sum(halves[1::2])
         phi_sum = _totient_sum(x, phi_cum)
         s = total(x)
-        sums[x] = (s, odd, (phi_sum + s) // 2)
+        sums[x] = Sums(s, odd, (phi_sum + s) // 2)
     return sums
-
-
-def point_sums(x: int) -> tuple[int, int, int]:
-    """(total roots, odd-q roots, members) at one x, the tuple that
-    checkpoint_sums gives for it, in about x^(2/3) time without sieving to x:
-    sublinear_sums at the one point."""
-    return sublinear_sums([x])[int(x)]
 
 
 def _sublinear_work(want: list[int]) -> float:
@@ -331,11 +332,10 @@ def _sublinear_work(want: list[int]) -> float:
     return work
 
 
-def sums_at(points: Iterable[int]) -> dict[int, tuple[int, int, int]]:
-    """The checkpoint_sums tuple at each point, from sublinear_sums when its
-    estimated cost is below that of one streamed sieve to the largest point
-    or when that point is past the sieve's int64 bound, else from
-    checkpoint_sums."""
+def sums_at(points: Iterable[int]) -> dict[int, Sums]:
+    """The Sums at each x, from sublinear_sums when its estimated cost is
+    below that of one streamed sieve to the largest point or when that point
+    is past the sieve's int64 bound, else from checkpoint_sums."""
     want = _sorted_points(points)
     if not want:
         return {}
@@ -413,7 +413,7 @@ def roots_sum_in_bounds(x: float, table: CountTable) -> bool:
     return lower <= s <= upper
 
 
-_KINDS = ("S", "tau", "psi", "pi")
+_KINDS = (*Sums._fields, "pi")
 
 
 def main_term(kind: str, x: float, t0: float | None = None) -> float:
@@ -427,7 +427,8 @@ def main_term(kind: str, x: float, t0: float | None = None) -> float:
     if kind == "pi":
         if t0 is None:
             raise ValueError("kind 'pi' needs t0")
-        return 3.0 * x / (2.0 * _square(math.pi * t0))
+        # 3x/(2(pi t0)^2) to the bit in the normal range, without 3x's overflow
+        return 2.0 * (0.75 * x / _square(math.pi * t0))
     raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
 

@@ -552,7 +552,7 @@ def oracle_count(kind, x, points):
     sums = counting.checkpoint_sums(xs)
     rows = []
     for v in xs:
-        exact = sums[v][{"S": 0, "tau": 1, "psi": 2}[kind]]
+        exact = getattr(sums[v], kind)
         predicted = counting.main_term(kind, float(v))
         rows.append({"x": float(v), "exact": exact, "predicted": predicted,
                      "ratio": exact / predicted, "abs_error": abs(exact - predicted)})
@@ -692,15 +692,14 @@ def test_count_pi_without_a_positive_law_refused(capsys, monkeypatch, tmp_path, 
 
 
 # t0 = 1.3407807929942596e154 is the largest float whose square is finite;
-# the law 3Y/(2*(pi*t0)^2) leaves the float range from t0 near 3.02e153.
+# the law 2*(0.75*Y/(pi*t0)^2) leaves the float range with (pi*t0)^2, from t0
+# near 4.27e153.  It cannot overflow: t0 > 1 keeps it below Y/6.
 @pytest.mark.parametrize("argv", [
-    ["--Y", "4", "--t0", "3.1e153"],
+    ["--Y", "4", "--t0", "4.3e153"],
     ["--Y", "4", "--t0", "1.3407807929942596e154"],
     ["--Y", "4", "--t0", "1.3407807929942597e154"],
     ["--Y", "4", "--t0", "1e200"],
     ["--Y", "1e8", "--t0", "1e200", "--points", "5"],
-    ["--Y", "1.7e308", "--t0", "3e153"],  # the law overflows to inf
-    ["--Y", "1.7e308", "--t0", "1e150", "--points", "3"],
 ])
 def test_count_pi_at_huge_t0_or_Y_refused(capsys, monkeypatch, tmp_path, argv):
     def work(*args, **kwargs):
@@ -717,6 +716,25 @@ def test_count_pi_answers_below_the_t0_edge(capsys):
     # past the float range of ((k + 1)*t0)**2 the threshold still answers
     assert counting.sojourn_threshold(1.7e308, 3e153) == 4
     assert counting.main_term("pi", 4.0, 1e200) == 0.0
+
+
+# The law's old form, 3.0*Y/(2.0*(pi*t0)**2), overflowed in 3*Y or in the
+# doubled square before its division, and these inputs were refused.
+@pytest.mark.parametrize("argv,exact", [
+    (["--Y", "4", "--t0", "3.1e153"], 0),
+    (["--Y", "1.7e308", "--t0", "3e153"], 4),
+    (["--Y", "1.7e308", "--t0", "1e150"], 25_840_019),
+    (["--Y", "1.7e308", "--t0", "1e150", "--points", "3"], 25_840_019),
+])
+def test_count_pi_answers_where_the_old_law_overflowed(capsys, argv, exact):
+    code, out, _ = run(capsys, "count", "pi", *argv)
+    assert code == 0
+    cells = out.splitlines()[-1].split(",")
+    assert int(cells[1]) == exact
+    assert 0 < float(cells[2]) < math.inf
+    if exact == 25_840_019:
+        assert counting.sojourn_threshold(1.7e308, 1e150) == 13_038
+        assert float(cells[2]) == pytest.approx(1.5 * 1.7e8 / math.pi**2, rel=1e-9)
 
 
 @pytest.mark.parametrize("t0", ["1.1e153", "1.3407807929942597e154", "1e160", "1e308"])

@@ -8,12 +8,12 @@ import pytest
 from modscatter import arith, counting, scatterset
 from modscatter.arith import MemoryBudgetExceeded
 from modscatter.counting import (
+    Sums,
     asymptotic_report,
     checkpoint_sums,
     count_geodesics,
     main_term,
     odd_modulus_roots,
-    point_sums,
     roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
@@ -180,6 +180,31 @@ def test_report_rejects_bad_kind(table_1e4):
         main_term("pi", 10.0)
 
 
+def test_sums_fields_keep_the_positional_order(table_1e4):
+    # bench/checks.py reads the counts by position, in this order
+    assert Sums._fields == ("S", "tau", "psi")
+    assert counting._KINDS == ("S", "tau", "psi", "pi")
+    sums = checkpoint_sums([100])[100]
+    assert tuple(sums) == (sums.S, sums.tau, sums.psi) == (
+        total_roots(100, table_1e4), odd_modulus_roots(100, table_1e4),
+        total_members(100, table_1e4))
+
+
+def test_pi_law_keeps_the_old_bits():
+    # the old form 3.0*Y/(2.0*(pi*t0)**2) overflowed in 3Y or in its doubled
+    # square; wherever it was finite and at least 2**-1021 the bits agree
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(20_000):
+        t0 = 10 ** rng.uniform(0, 154.2)
+        y = 10 ** rng.uniform(-300, 308.2)
+        old = 3.0 * y / (2.0 * counting._square(math.pi * t0))
+        if math.isfinite(old) and old >= 2.0**-1021:
+            assert main_term("pi", y, t0) == old, (y, t0)
+            checked += 1
+    assert checked > 10_000
+
+
 def test_totient_sum_first_order(table_1e6):
     x = 10**5
     phisum = 2 * total_members(x, table_1e6) - total_roots(x, table_1e6)
@@ -190,7 +215,7 @@ def test_checkpoints_match_table(table_1e6):
     pts = [1, 2, 5, 100, 65_536, 10**6]
     sums = checkpoint_sums(pts)
     for x in pts:
-        assert sums[x] == (
+        assert sums[x] == Sums(
             total_roots(x, table_1e6),
             odd_modulus_roots(x, table_1e6),
             total_members(x, table_1e6),
@@ -201,7 +226,7 @@ def test_checkpoints_match_table(table_1e6):
 def test_checkpoints_beyond_default_table():
     # streaming evaluation is not bound by the table budget
     (vals,) = checkpoint_sums([2 * 10**6]).values()
-    assert vals[0] > 0
+    assert vals.S > 0
 
 
 def test_root_counts_below_sqrt(table_1e6):
@@ -273,7 +298,7 @@ def test_point_sums_match_sieve():
     pts = [*range(3001), *(rng.randrange(3001, 10**6) for _ in range(200)), *ends]
     sums = checkpoint_sums(pts)
     for x in pts:
-        assert point_sums(x) == sums[x], x
+        assert sublinear_sums([x])[x] == sums[x], x
 
 
 def _sweep(x, points):
@@ -293,7 +318,7 @@ def test_shared_tables_match_sieve(top, points):
     sums = checkpoint_sums(pts)
     assert sublinear_sums(pts) == sums
     assert sums_at(pts) == sums
-    assert sublinear_sums([0]) == {0: (0, 0, 0)}
+    assert sublinear_sums([0]) == {0: Sums(0, 0, 0)}
     assert sublinear_sums([]) == {}
 
 
@@ -329,9 +354,9 @@ def test_point_sums_beyond_int64():
     # Phi(6e9) exceeds 2**63; the constant comes from the plain Python-int
     # totient-sum recursion over a sieved table to 2**22.
     x = 6 * 10**9
-    total, odd, members = point_sums(x)
-    assert 2 * members - total == 10942687833564150102
-    assert sums_at([x])[x] == (total, odd, members)
+    sums = sublinear_sums([x])[x]
+    assert 2 * sums.psi - sums.S == 10942687833564150102
+    assert sums_at([x])[x] == sums
 
 
 def test_sums_at_picks_the_cheaper_route(monkeypatch):
@@ -369,9 +394,9 @@ def test_sums_at_picks_the_cheaper_route(monkeypatch):
 
 def test_point_sums_refuse_out_of_range():
     with pytest.raises(ValueError):
-        point_sums(-1)
+        sublinear_sums([-1])
     with pytest.raises(ValueError):
-        point_sums(counting._POINT_SUMS_MAX + 1)
+        sublinear_sums([counting._POINT_SUMS_MAX + 1])
 
 
 @pytest.mark.parametrize("y", [10**6 + 3, 12_345_678, 10**9 + 7, 10**10])
