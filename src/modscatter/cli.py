@@ -249,13 +249,14 @@ def _cmd_count(args) -> None:
         else:
             lo = min(4.0 * args.t0 * args.t0, args.Y)
             ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
-        # the law grows with Y: it must be a positive float at the first Y
-        # and a finite one at the last (a huge t0 or Y leaves the range)
+        # the law grows with Y (and leaves the float range only with t0)
         for y in (ys[0], ys[-1]):
             law = counting.main_term(kind, y, args.t0)
             if not 0 < law < math.inf:
                 raise ValueError(f"the first-order law of pi is {law} at Y = {y} with "
                                  f"t0 = {args.t0}, not positive and finite as a float")
+        # k >= int(sqrt(Y)/t0) - 1, refused before the walk (which stops at 2^52)
+        _check_cap(int(math.sqrt(ys[-1]) / args.t0) - 1, args, "sojourn threshold at least")
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
         sums = _sums_at(thresholds.values(), args)
         exact = [(y, sums[thresholds[y]].psi) for y in ys]
@@ -326,11 +327,8 @@ def _cmd_series(args) -> None:
         direct = lfunction.series_by_sum(s, args.terms, table=table)
         euler = lfunction.series_by_euler_product(s, args.terms)
         closed = lfunction.series_by_zeta_identity(s)
-        gap = max(
-            abs(direct.value - euler.value),
-            abs(euler.value - closed.value),
-            abs(direct.value - closed.value),
-        )
+        gap = max(abs(direct.value - euler.value), abs(euler.value - closed.value),
+                  abs(direct.value - closed.value))
         rows.append((s, direct.value, euler.value, closed.value, gap))
     _emit_columns(["s", "F_direct", "F_euler", "F_closed", "max_pairwise_gap"],
                   list(zip(*rows)), args.format, args.out)

@@ -379,11 +379,14 @@ def _square(v: float) -> float:
 
 def sojourn_threshold(Y: float, t0: float) -> int:
     """Largest q >= 0 with (q*t0)**2 <= Y, found by adjusting an initial
-    floating guess so perfect-square thresholds land exactly."""
+    floating guess so perfect-square thresholds land exactly.  A guess past
+    2^52 is refused: from 2^53 q*t0 stops growing with q, and the walk too."""
     _require_t0(t0)
     if Y <= 0:
         return 0
     k = max(int(math.sqrt(Y) / t0), 0)
+    if k > 2**52:
+        raise ValueError(f"sojourn threshold near {k:.3e} is past 2^52 (Y = {Y}, t0 = {t0})")
     while _square((k + 1) * t0) <= Y:
         k += 1
     while k > 0 and _square(k * t0) > Y:
@@ -401,10 +404,8 @@ def count_geodesics(Y: float, t0: float, table: CountTable) -> int:
 
 
 def roots_sum_in_bounds(x: float, table: CountTable) -> bool:
-    """Whether 2*floor(sqrt(x-1)) - 1 <= total_roots(x) <= (2/3)*(x+1)**1.5.
-
-    Both inequalities hold for every x >= 5; this evaluates them at one x.
-    """
+    """Whether 2*floor(sqrt(x-1)) - 1 <= total_roots(x) <= (2/3)*(x+1)**1.5,
+    two inequalities that hold for every x >= 5, at this one x."""
     if x < 5:
         raise ValueError("bounds are asserted for x >= 5 only")
     s = total_roots(x, table)

@@ -737,6 +737,37 @@ def test_count_pi_answers_where_the_old_law_overflowed(capsys, argv, exact):
         assert float(cells[2]) == pytest.approx(1.5 * 1.7e8 / math.pi**2, rel=1e-9)
 
 
+# The threshold walk once hung near 1e50 and took minutes near 1e20, and
+# --Y 1e308 --t0 2 was refused only because the old law overflowed.
+@pytest.mark.parametrize("argv", [
+    ["--Y", "1e308", "--t0", "2"],
+    ["--Y", "1e308", "--t0", "2", "--limit", str(10**20)],
+    ["--Y", "1e300", "--t0", "1e100"],
+    ["--Y", "1e300", "--t0", "1e130"],
+    ["--Y", "1e300", "--t0", "1e100", "--points", "5"],
+    ["--Y", "484", "--t0", "2", "--limit", "10"],  # threshold 11
+])
+def test_count_pi_threshold_past_limit_refused_before_the_walk(capsys, monkeypatch,
+                                                               tmp_path, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(counting, "sums_at", work)
+    if argv[1] != "484":  # at 484 the guess is one above the limit, the threshold too
+        monkeypatch.setattr(counting, "sojourn_threshold", work)
+    _refused_before_work(capsys, tmp_path, ["count", "pi", *argv], 4, "--limit")
+
+
+def test_count_pi_threshold_at_limit_or_past_2_52_kept(capsys, monkeypatch, tmp_path):
+    # sqrt(450)/2 = 10.6: the threshold 10 is within --limit 10 and answered
+    code, out, _ = run(capsys, "count", "pi", "--Y", "450", "--t0", "2", "--limit", "10")
+    assert code == 0 and out.splitlines()[1].startswith("450,19,")
+    # with a --limit past 2^52 the walk itself refuses the threshold 5e19
+    monkeypatch.setattr(counting, "sums_at", lambda *a: pytest.fail("summed"))
+    argv = ["count", "pi", "--Y", "1e40", "--t0", "2", "--limit", str(10**30)]
+    _refused_before_work(capsys, tmp_path, argv, 3, "past 2^52")
+
+
 @pytest.mark.parametrize("t0", ["1.1e153", "1.3407807929942597e154", "1e160", "1e308"])
 def test_trace_at_huge_t0_refused(capsys, monkeypatch, tmp_path, t0):
     def alloc(*args, **kwargs):

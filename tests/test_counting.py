@@ -121,6 +121,16 @@ def test_sojourn_threshold_exact():
             sojourn_threshold(100.0, t0)
 
 
+def test_sojourn_threshold_refused_past_2_52():
+    # (2^52 * 2)^2 = 2^106: the largest guess the walk takes, answered exactly
+    assert sojourn_threshold(2.0**106, 2.0) == 2**52
+    # from 2^53, (k + 1)*t0 rounds to k*t0: the walk gave 2^53 + 1 at
+    # 2^108, and it never ended near 1e50
+    for Y, t0 in ((2.0**108, 2.0), (1e300, 1e100), (1e308, 2.0)):
+        with pytest.raises(ValueError, match="past 2"):
+            sojourn_threshold(Y, t0)
+
+
 def test_geodesic_count_examples(table_1e4):
     assert count_geodesics(4 * 2.0**2, 2.0, table_1e4) == 2
     assert count_geodesics(100.0, 2.0, table_1e4) == 7
