@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -258,7 +259,7 @@ def _cmd_count(args) -> None:
         # k >= int(sqrt(Y)/t0) - 1, refused before the walk (which stops at 2^52)
         _check_cap(int(math.sqrt(ys[-1]) / args.t0) - 1, args, "sojourn threshold at least")
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}
-        sums = _sums_at(thresholds.values(), args)
+        sums = _sums_at(thresholds.values(), args, ("psi",))
         exact = [(y, sums[thresholds[y]].psi) for y in ys]
     else:
         if args.x is None:
@@ -266,7 +267,7 @@ def _cmd_count(args) -> None:
         if args.x < 1:
             raise ValueError(f"--x must be at least 1, got {args.x}")
         xs = _log_spaced(args.x, args.points)
-        sums = _sums_at(xs, args)
+        sums = _sums_at(xs, args, (kind,))
         exact = [(float(x), getattr(sums[x], kind)) for x in xs]
     reports = [counting.AsymptoticReport(kind, x, n, counting.main_term(kind, x, args.t0))
                for x, n in exact]
@@ -275,16 +276,17 @@ def _cmd_count(args) -> None:
                   args.format, args.out)
 
 
-def _sums_at(points, args) -> dict[int, counting.Sums]:
+def _sums_at(points, args, kinds: tuple[str, ...]) -> dict[int, counting.Sums]:
+    """The Sums of the given kinds at the points, within --limit."""
     pts = sorted(set(points))
     _check_cap(pts[-1], args, "evaluation point")
     # Below the sieve's int64 bound the route taken costs at most one sieve
     # to the largest point; above it only the sublinear route can answer,
     # and its cost grows with the number of points as well.
     if pts[-1] > counting._INT64_ROOT:
-        work = math.ceil(counting._sublinear_work(pts))
+        work = math.ceil(counting._sublinear_work(pts, kinds))
         _check_cap(work, args, "work in sieve entries")
-    return counting.sums_at(pts)
+    return counting.sums_at(pts, kinds)
 
 
 def _cmd_histogram(args) -> None:
@@ -344,7 +346,11 @@ def _cmd_equiv(args) -> None:
                   [[v] for v in row], args.format, args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: main calls
+    it on every run, and parsing leaves it unchanged.  Callers share it, so
+    none may modify it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--t0", type=_finite_float, default=2.0,

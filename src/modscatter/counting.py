@@ -23,7 +23,8 @@ count of all such points of norm <= y,
 
 with R(y) by the Dirichlet hyperbola method.  T and Phi run the same table
 recursion (Deleglise-Rivat for Phi) on the root and totient prefix sums of
-one table sieved up to about x^(2/3).
+one sieved table: about x^(2/3) entries when Phi is needed, a few sqrt(x)
+when only T is.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ _SEGMENT = 1 << 20
 # 2**63 up to _POINT_SUMS_MAX; its running totals are Python ints.
 _POINT_TABLE = 1 << 22
 _POINT_SUMS_MAX = 10**12
-# Cost of one streamed-sieve entry in _sublinear_work's unit: timed on one
-# core at 1e6 to 5e7, where the sieve took 26-28 ns an entry and the unit
-# 38-51 ns, the routes breaking even near 250 points to 1e6 and 1,100 to 1e7.
-_SIEVE_ENTRY_WORK = 0.6
+# Entries of a root-only sublinear table per isqrt(max point): see _table_size.
+_ROOT_TABLE = 2
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,21 @@ class CountTable:
 
 class Sums(NamedTuple):
     """The exact counts at one x, one field per count kind: S = T(x), tau =
-    t(x) and psi = M(x).  A tuple in this order, so positional reads hold."""
+    t(x) and psi = M(x).  A tuple in this order, so positional reads hold.
+    A kind that was not asked for is None."""
 
-    S: int
-    tau: int
-    psi: int
+    S: int | None = None
+    tau: int | None = None
+    psi: int | None = None
+
+
+def _kinds(kinds: Iterable[str]) -> tuple[str, ...]:
+    """The kinds as a tuple, each one a field of Sums."""
+    kinds = tuple(kinds)
+    unknown = set(kinds) - set(Sums._fields)
+    if unknown:
+        raise ValueError(f"kinds must be among {Sums._fields}, got {sorted(unknown)}")
+    return kinds
 
 
 def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
@@ -269,30 +278,46 @@ def _totient_sum(x: int, phi_cum: np.ndarray) -> int:
     return big[1]
 
 
-def _table_size(top: int) -> int:
-    """Largest value b the sublinear table covers for points up to top:
-    about top^(2/3), capped below _POINT_TABLE, never below isqrt(top)."""
-    return max(min(round(top ** (2 / 3)), _POINT_TABLE - 1), math.isqrt(top))
+def _table_size(top: int, kinds: Iterable[str] = Sums._fields) -> int:
+    """Largest value b the sublinear table covers for points up to top.
 
-
-def sublinear_sums(points: Iterable[int]) -> dict[int, Sums]:
-    """The Sums at each x, without sieving to the largest point.
-
-    One table serves every point: the phi and root prefix sums, sieved up to
-    b = _table_size(max(points)).  A point or halving up to b is read off
-    them; only those above b run the root-sum or the totient recursion, in
-    about x^(2/3) time each.  The results are exact Python ints for every
-    point up to 10**12.
+    The totient recursion (psi) runs about x/sqrt(b) table reads per point
+    and must read past isqrt(x), so with psi b is about top^(2/3), capped
+    below _POINT_TABLE, never below isqrt(top).  The root-sum recursion
+    alone (S, tau) costs about sqrt(x)*log(x/b) per point, so past a few
+    sqrt(top) a larger table saves less than sieving it costs: without psi
+    b is _ROOT_TABLE*isqrt(top), which stays below _POINT_TABLE up to
+    _POINT_SUMS_MAX.
     """
+    if "psi" in kinds:
+        return max(min(round(top ** (2 / 3)), _POINT_TABLE - 1), math.isqrt(top))
+    return min(_ROOT_TABLE * math.isqrt(top), _POINT_TABLE - 1)
+
+
+def sublinear_sums(points: Iterable[int], kinds: Iterable[str] = Sums._fields) -> dict[int, Sums]:
+    """The Sums at each x, without sieving to the largest point, with only
+    the fields named in kinds filled (the others None).
+
+    One table serves every point: the root (and, for psi, the phi) prefix
+    sums, sieved up to b = _table_size(max(points), kinds).  A point or
+    halving up to b is read off them; only those above b run a recursion.
+    S runs the root-sum recursion at x, tau runs it at every halving
+    x >> j, and psi runs it at x and the totient recursion at x, in about
+    x^(2/3) time.  Without psi the table is a few sqrt(max(points)) entries
+    and S takes about sqrt(x)*log(x) time.  The results are exact Python
+    ints for every point up to 10**12.
+    """
+    kinds = _kinds(kinds)
     want = _sorted_points(points)
     if not want:
         return {}
     top = want[-1]
     if top > _POINT_SUMS_MAX:
         raise ValueError(f"x = {top} exceeds {_POINT_SUMS_MAX}, the exact range of sublinear_sums")
-    b = _table_size(top)
+    b = _table_size(top, kinds)
     phi, roots = _phi_roots_segment(0, b + 1, _small_primes(math.isqrt(b)))
-    phi_cum = np.cumsum(phi, dtype=np.int64)
+    if "psi" in kinds:
+        phi_cum = np.cumsum(phi, dtype=np.int64)
     del phi
     roots_cum = np.cumsum(roots, dtype=np.int64)
     totals: dict[int, int] = {}  # T(v), shared by the points
@@ -304,44 +329,66 @@ def sublinear_sums(points: Iterable[int]) -> dict[int, Sums]:
 
     sums = {}
     for x in want:
-        halves = [total(x >> j) for j in range(x.bit_length())]
-        odd = sum(halves[0::2]) - sum(halves[1::2])
-        phi_sum = _totient_sum(x, phi_cum)
-        s = total(x)
-        sums[x] = Sums(s, odd, (phi_sum + s) // 2)
+        got = {}
+        if "S" in kinds:
+            got["S"] = total(x)
+        if "tau" in kinds:
+            halves = [total(x >> j) for j in range(x.bit_length())]
+            got["tau"] = sum(halves[0::2]) - sum(halves[1::2])
+        if "psi" in kinds:
+            got["psi"] = (_totient_sum(x, phi_cum) + total(x)) // 2
+        sums[x] = Sums(**got)
     return sums
 
 
-def _sublinear_work(want: list[int]) -> float:
-    """Cost of sublinear_sums(want) in units of about 90 ns on one core, of
-    which a streamed-sieve entry costs _SIEVE_ENTRY_WORK.  Fitted to timings
-    on one core: the table costs 3400 plus 2 units per value up to b; a
-    point x above b, with m = x // (b + 1),
-    adds its totient recursion (100 per step for m steps, 0.27 per element
-    of its arrays, about x/sqrt(b) of them) and the root-sum recursions of
-    its m.bit_length() halvings above b (270 each, 550*sqrt(m) for their
-    steps over g, 0.34*sqrt(x)*(1 + log m) for their hyperbola sums and
-    table reads); every point adds 135 for its reads."""
-    b = _table_size(want[-1])
-    work = 3400 + 2 * b + 135 * len(want)
+def _sublinear_work(want: list[int], kinds: Iterable[str] = Sums._fields) -> float:
+    """Cost of sublinear_sums(want, kinds) in streamed-sieve entries, fitted
+    to timings of single points from 1e4 to 1e12 and sweeps to 1e11 on one
+    core, which it puts at 0.75-1.6 times their cost.
+
+    The table costs 4000 plus 1 per value up to b.  A point x above b, with
+    m = x // (b + 1) and g = isqrt(m), adds
+    - for S, the root sum at x: 600, 260 per step over g and
+      0.0066*sqrt(x)*(1 + log g)*log x for its hyperbola sums and reads;
+    - for tau, its m.bit_length() halvings above b, the first of them the
+      root sum at x: 260 each and 3 times the steps and sums of the one at
+      x, since they shrink by sqrt(2) a halving;
+    - for psi, the root sum at x and the totient recursion: 390 per step
+      for m steps and 0.65 per element of its arrays, about sqrt(x*m).
+    Points that share halvings are priced as if they shared none.
+    """
+    b = _table_size(want[-1], kinds)
+    work = 4000 + b
     for x in want:
         m = x // (b + 1)
-        if m:
-            work += (100 * m + 0.27 * x / math.sqrt(b) + 270 * m.bit_length()
-                     + 550 * math.sqrt(m) + 0.34 * math.sqrt(x) * (1 + math.log(m)))
+        if not m:
+            continue
+        g = math.isqrt(m)
+        root = 260 * g + 0.0066 * math.sqrt(x) * (1 + math.log(g)) * math.log(x)
+        if "tau" in kinds:
+            work += 260 * m.bit_length() + 3 * root
+        elif "S" in kinds or "psi" in kinds:
+            work += 600 + root
+        if "psi" in kinds:
+            work += 390 * m + 0.65 * math.sqrt(x * m)
     return work
 
 
-def sums_at(points: Iterable[int]) -> dict[int, Sums]:
-    """The Sums at each x, from sublinear_sums when its estimated cost is
-    below that of one streamed sieve to the largest point or when that point
-    is past the sieve's int64 bound, else from checkpoint_sums."""
+def sums_at(points: Iterable[int], kinds: Iterable[str] = Sums._fields) -> dict[int, Sums]:
+    """The Sums at each x with the fields named in kinds filled (the others
+    None), from sublinear_sums when its estimated cost in sieve entries is
+    below the max(points) + 1 entries of one streamed sieve, or when that
+    point is past the sieve's int64 bound, else from checkpoint_sums.  The
+    sieve fills every field at the same cost, so only the sublinear route's
+    cost and the route taken depend on kinds; the result does not."""
+    kinds = _kinds(kinds)
     want = _sorted_points(points)
     if not want:
         return {}
-    if want[-1] > _INT64_ROOT or _sublinear_work(want) < _SIEVE_ENTRY_WORK * want[-1]:
-        return sublinear_sums(want)
-    return checkpoint_sums(want)
+    if want[-1] > _INT64_ROOT or _sublinear_work(want, kinds) < want[-1] + 1:
+        return sublinear_sums(want, kinds)
+    return {x: Sums(**{k: getattr(v, k) for k in kinds})
+            for x, v in checkpoint_sums(want).items()}
 
 
 def _floor_index(x: float, table: CountTable) -> int:

@@ -159,9 +159,9 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_count_single_point_matches_sweep(capsys, monkeypatch, kind):
     routes = []  # (route, number of points it was given)
     for name in ("sublinear_sums", "checkpoint_sums"):
-        def spy(arg, fn=getattr(counting, name), name=name):
+        def spy(arg, *kinds, fn=getattr(counting, name), name=name):
             routes.append((name, len(arg)))
-            return fn(arg)
+            return fn(arg, *kinds)
         monkeypatch.setattr(counting, name, spy)
     target = ["--Y", "4e10", "--t0", "2"] if kind == "pi" else ["--x", "123457"]
     _, single, _ = run(capsys, "count", kind, *target)
@@ -794,15 +794,65 @@ def test_trace_answers_below_the_t0_edge(capsys):
 
 def test_count_work_past_the_sieve_bound_is_capped(capsys, monkeypatch, tmp_path):
     # 73,963 points up to 5e9, past the sieve's int64 bound: the sublinear
-    # route's model puts them at 6.64e9 sieve entries
+    # route's model puts psi's totient recursions at 13,277,548,919 sieve
+    # entries, and S's root sums at 1.01e9, below the cap on x itself
     def work(*args, **kwargs):
         raise AssertionError("worked before refusing")
 
     monkeypatch.setattr(counting, "sublinear_sums", work)
-    argv = ["count", "S", "--x", "5e9", "--points", "100000"]
-    _refused_before_work(capsys, tmp_path, [*argv, "--limit", "6000000000"], 4, "work")
+    argv = ["count", "psi", "--x", "5e9", "--points", "100000"]
+    _refused_before_work(capsys, tmp_path, [*argv, "--limit", "13277548918"], 4, "work")
     with pytest.raises(AssertionError, match="worked before refusing"):
-        main([*argv, "--limit", "10000000000"])
+        main([*argv, "--limit", "13277548919"])
+    argv[1] = "S"
+    _refused_before_work(capsys, tmp_path, [*argv, "--limit", "4999999999"], 4, "point")
+    with pytest.raises(AssertionError, match="worked before refusing"):
+        main([*argv, "--limit", "5000000000"])
+
+
+def test_count_runs_only_the_recursions_of_its_kind(capsys, monkeypatch):
+    calls = {"_roots_sum": [], "_totient_sum": []}
+    for name, seen in calls.items():
+        def spy(x, table, fn=getattr(counting, name), seen=seen):
+            seen.append(x)
+            return fn(x, table)
+        monkeypatch.setattr(counting, name, spy)
+    # S and tau never run the totient recursion; tau runs the root sum at
+    # every halving, S at the point alone
+    for kind in ("S", "tau"):
+        assert run(capsys, "count", kind, "--x", "1e7", "--points", "30")[0] == 0
+    assert calls["_totient_sum"] == []
+    pts = cli._log_spaced(1e7, 30)
+    halvings = sorted({x >> j for x in pts for j in range(x.bit_length())})
+    assert sorted(calls["_roots_sum"]) == sorted([*pts, *halvings])
+    # psi and pi run the root sum once per point, with no halvings, next to
+    # the totient recursion
+    for argv in (["psi", "--x", "1e7", "--points", "30"],
+                 ["pi", "--Y", "4e14", "--t0", "2", "--points", "30"]):
+        calls["_roots_sum"].clear()
+        calls["_totient_sum"].clear()
+        assert run(capsys, "count", *argv)[0] == 0
+        assert len(calls["_roots_sum"]) == len(set(calls["_roots_sum"])) > 20
+        assert calls["_totient_sum"] == calls["_roots_sum"]
+        b = counting._table_size(max(calls["_roots_sum"]), ("psi",))
+        assert sum(x > b for x in calls["_roots_sum"]) > 5
+
+
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["count", "S", "--x", "1e5", "--points", "5"], ["gq", "13"],
+             ["trace", "2/5", "--t0", "1.5", "--step", "0.01"]]
+    fresh = []
+    for argv in calls:
+        args = cli.build_parser.__wrapped__().parse_args(argv)
+        args.func(args)
+        fresh.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "zeta", "--x", "10"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv, out in zip(calls, fresh):
+        assert run(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize("s", ["1e103", "8.98e307", "1e308"])

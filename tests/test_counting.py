@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import fields
@@ -360,6 +361,51 @@ def test_roots_sum_at_the_point_range_end():
     assert sum(halves[0::2]) - sum(halves[1::2]) == 318_309_886_127
 
 
+@pytest.fixture(scope="module")
+def roots_cum_2_22():
+    return _roots_cum((1 << 22) - 1)
+
+
+def test_root_only_table_matches_other_sizes(roots_cum_2_22):
+    # S and tau from tables of 2^16, 2^20 and 2^22 entries and from the
+    # root-only table sublinear_sums sizes without psi; at 1e9 and 1e12 the
+    # constants of the README and of test_roots_sum_at_the_point_range_end
+    known = {10**9: (477_464_878, 318_309_989), 10**12: (477_464_828_496, 318_309_886_127)}
+    for x in (10**9, 3 * 10**9 + 7, 10**12):
+        b = counting._table_size(x, ("S", "tau"))
+        assert math.isqrt(x) <= b <= 4 * math.isqrt(x)  # a few sqrt(x), not x^(2/3)
+        got = {b + 1: tuple(sublinear_sums([x], ("S", "tau"))[x][:2])}
+        for size in (1 << 16, 1 << 20, 1 << 22):
+            halves = [counting._roots_sum(x >> j, roots_cum_2_22[:size])
+                      for j in range(x.bit_length())]
+            got[size] = (halves[0], sum(halves[0::2]) - sum(halves[1::2]))
+        assert len(set(got.values())) == 1, (x, got)
+        assert got[1 << 22] == known.get(x, got[1 << 22])
+
+
+_SUBSETS = [k for n in (1, 2, 3) for k in itertools.combinations(Sums._fields, n)]
+
+
+@pytest.fixture(scope="module")
+def subset_points():
+    # every x <= 2e4 and 200 points log-uniform up to 1.2e7
+    rng = random.Random(17)
+    far = [round(math.exp(rng.uniform(math.log(2e4), math.log(1.2e7)))) for _ in range(199)]
+    pts = [*range(20_001), *far, 12 * 10**6]
+    return pts, checkpoint_sums(pts)
+
+
+@pytest.mark.parametrize("kinds", _SUBSETS, ids="+".join)
+def test_kind_subsets_match_the_sieve(monkeypatch, subset_points, kinds):
+    # each route fills exactly the fields asked for, with the sieve's values
+    pts, full = subset_points
+    expect = {x: Sums(**{k: getattr(v, k) for k in kinds}) for x, v in full.items()}
+    assert sublinear_sums(pts, kinds) == expect
+    monkeypatch.setattr(counting, "checkpoint_sums", lambda arg: full)
+    monkeypatch.setattr(counting, "_sublinear_work", lambda *args: math.inf)
+    assert sums_at(pts, kinds) == expect
+
+
 def test_point_sums_beyond_int64():
     # Phi(6e9) exceeds 2**63; the constant comes from the plain Python-int
     # totient-sum recursion over a sieved table to 2**22.
@@ -372,9 +418,9 @@ def test_point_sums_beyond_int64():
 def test_sums_at_picks_the_cheaper_route(monkeypatch):
     routes = []
     for name in ("sublinear_sums", "checkpoint_sums"):
-        def spy(arg, fn=getattr(counting, name), name=name):
+        def spy(arg, *kinds, fn=getattr(counting, name), name=name):
             routes.append((name, list(arg)))
-            return fn(arg)
+            return fn(arg, *kinds)
         monkeypatch.setattr(counting, name, spy)
     sparse = [10, 1000, 10**5, 10**6]
     dense = list(range(10**5 - 300, 10**5 + 1))
@@ -385,19 +431,24 @@ def test_sums_at_picks_the_cheaper_route(monkeypatch):
     assert routes[1:] == [("checkpoint_sums", dense)]
     assert sums_at(sweep) == checkpoint_sums(sweep)
     assert routes[2:] == [("sublinear_sums", sweep)]
-    # past the break-even, near 1,100 points to 1e7, one sieve is cheaper
+    # past the break-even of every kind, near 900 points to 1e7, one sieve
+    # is cheaper; S alone breaks even only near 4,300 points
     wide = _sweep(10**7, 1500)
     expect = sublinear_sums(wide)
     assert sums_at(wide) == expect
     assert routes[3:] == [("checkpoint_sums", wide)]
+    assert sums_at(wide, ("S",)) == {x: Sums(S=v.S) for x, v in expect.items()}
+    assert routes[4:] == [("sublinear_sums", wide)]
     assert sums_at([]) == {}
     with pytest.raises(ValueError):
         sums_at([5, -1])
+    with pytest.raises(ValueError, match="kinds"):
+        sums_at([5], "psi")
     # past the sieve's int64 bound only sublinear_sums can answer, however dense
     expect = checkpoint_sums(dense)
     monkeypatch.setattr(counting, "_INT64_ROOT", dense[0] - 1)
     assert sums_at(dense) == expect
-    assert routes[4:] == [("sublinear_sums", dense)]
+    assert routes[5:] == [("sublinear_sums", dense)]
     with pytest.raises(ValueError, match="sublinear_sums"):
         checkpoint_sums(dense)
 
