@@ -185,9 +185,12 @@ def _check_cap(n: int, args, what: str) -> None:
 
 # Bytes a command holds per item of its output before it writes, from peak
 # RSS at two sizes: an `sq` row (its count and solutions list) 115-390 B, a
-# histogram bin 31-35 B (edge and count, and np.histogram's temporaries).
+# histogram bin 31-35 B (edge and count, and np.histogram's temporaries), a
+# `count` point 490 B (of pi, between 3e5 and 1e6 points: its float, the
+# threshold maps, its Sums and report; S, tau and psi hold about 235 B).
 _SQ_ROW_BYTES = 390
 _BIN_BYTES = 35
+_POINT_BYTES = 490
 
 
 def _cmd_sq(args) -> None:
@@ -196,20 +199,15 @@ def _cmd_sq(args) -> None:
         raise ValueError("--to must not be below q")
     rows = last - args.q + 1
     _check_cap(rows, args, "row count")
-    if args.brute:  # the scan is O(q) per row
-        _check_cap(last, args, "modulus")
-    # every row is held until the last: a --brute refusal mid-range writes nothing
+    # every row is held until the last: a factorization refused past 2^63 - 1
+    # mid-range writes nothing
     arith._check_budget(rows * _SQ_ROW_BYTES, f"{rows} rows")
     qs = range(args.q, last + 1)
     counts, solutions = [], []
     for q in qs:
-        if args.brute:
-            sols = arith.sqrt_minus_one_brute(q)
-            s = 1 if q == 1 else len(sols)
-        else:
-            f = arith.factorize(q)
-            s = arith.count_sqrt_minus_one(f)
-            sols = arith.sqrt_minus_one_crt(f) if (s and q > 1) else []
+        f = arith.factorize(q)
+        s = arith.count_sqrt_minus_one(f)
+        sols = arith.sqrt_minus_one_crt(f) if (s and q > 1) else []
         counts.append(s)
         solutions.append(sols)
     _emit_columns(["q", "s", "solutions"], [qs, counts, solutions], args.format, args.out)
@@ -242,6 +240,7 @@ def _log_spaced(hi: float, points: int, lo: float = 10.0) -> list[int]:
 def _cmd_count(args) -> None:
     kind = args.kind
     _check_cap(args.points, args, "point count")
+    arith._check_budget(args.points * _POINT_BYTES, f"{args.points} points")
     if kind == "pi":
         if args.Y is None:
             raise ValueError("kind 'pi' needs --Y")
@@ -379,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=_positive_int)
     p.add_argument("--to", type=_positive_int, default=None,
                    help="emit one row per modulus from q up to this value")
-    p.add_argument("--brute", action="store_true",
-                   help="use the exhaustive-scan oracle instead of the factorization route")
     p.set_defaults(func=_cmd_sq)
 
     p = sub.add_parser("gq", parents=[common],

@@ -500,16 +500,9 @@ def asymptotic_report(
     kind: str, x: float, table: CountTable, t0: float | None = None
 ) -> AsymptoticReport:
     """Exact count next to its predicted main term at the point x (Y for pi)."""
-    if kind == "S":
-        exact = total_roots(x, table)
-    elif kind == "tau":
-        exact = odd_modulus_roots(x, table)
-    elif kind == "psi":
-        exact = total_members(x, table)
-    elif kind == "pi":
-        if t0 is None:
-            raise ValueError("kind 'pi' needs t0")
+    predicted = main_term(kind, x, t0)  # refuses an unknown kind, and pi without t0
+    if kind == "pi":
         exact = count_geodesics(x, t0, table)
     else:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    return AsymptoticReport(kind, x, exact, main_term(kind, x, t0))
+        exact = {"S": total_roots, "tau": odd_modulus_roots, "psi": total_members}[kind](x, table)
+    return AsymptoticReport(kind, x, exact, predicted)

@@ -33,10 +33,13 @@ def test_sq_vanishing_and_convention(capsys):
     assert out == "q,s,solutions\n1,1,\n"
 
 
-def test_sq_range_and_brute_agree(capsys):
-    _, fast, _ = run(capsys, "sq", "2", "--to", "60")
-    _, brute, _ = run(capsys, "sq", "2", "--to", "60", "--brute")
-    assert fast == brute
+def test_sq_has_no_brute_option(capsys):
+    # the exhaustive scan is the tests' oracle only, not a CLI route
+    with pytest.raises(SystemExit) as exc:
+        main(["sq", "65", "--brute"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--brute" in out.err
 
 
 def test_gq_listing(capsys):
@@ -227,23 +230,6 @@ def test_resource_cap_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "S", "--x", "50000", "--limit", "1000")
     assert code == 4
     assert "limit" in err
-
-    def scan(*args):
-        raise AssertionError("scanned before refusing")
-
-    # above the int64 bound the scan refuses (exit 3) rather than loop over
-    # every residue in Python; `range` is patched so a loop fails at once
-    monkeypatch.setattr(cli.arith, "range", scan, raising=False)
-    code, out, err = run(capsys, "sq", "3037000501", "--brute", "--limit", "4000000000")
-    assert code == 3
-    assert out == "" and "int64" in err
-    monkeypatch.delattr(cli.arith, "range")
-
-    # the exhaustive scan is linear in q, so --limit bounds the modulus
-    monkeypatch.setattr(cli.arith, "sqrt_minus_one_brute", scan)
-    code, out, err = run(capsys, "sq", "3037000501", "--brute")
-    assert code == 4
-    assert out == "" and "limit" in err
 
     # a --limit above the int64 bound does not let gq reach the pairing
     # arithmetic: q*q would wrap, so it is a precondition failure
@@ -490,6 +476,9 @@ def test_trace_near_the_t0_edge_warns_nothing():
     ["count", "S", "--x", "1000", "--points", "1001", "--limit", "1000"],
     ["sq", "1", "--to", "3000000"],  # rows over the byte budget
     ["histogram", "--first", "10", "--bins", "30000000"],  # bins over the byte budget
+    # points over the byte budget
+    ["count", "S", "--x", "1e7", "--points", str(cli.arith._BYTE_BUDGET // cli._POINT_BYTES + 1)],
+    ["count", "pi", "--Y", "1e9", "--points", str(cli.arith._BYTE_BUDGET // cli._POINT_BYTES + 1)],
 ])
 def test_refusal_leaves_out_file_unchanged(capsys, tmp_path, argv):
     path = tmp_path / "kept.csv"
@@ -514,25 +503,32 @@ def test_size_options_refused_before_allocation(capsys, monkeypatch):
 
 
 def test_held_rows_refused_before_work(capsys, monkeypatch):
-    # sq holds every row of a range and histogram every bin until it writes:
-    # past the byte budget both refuse before the first factorization or edge
+    # sq holds every row of a range, histogram every bin and count every
+    # point until it writes: past the byte budget each refuses before the
+    # first factorization, edge or point
     def work(*args, **kwargs):
         raise AssertionError("worked before refusing")
 
     monkeypatch.setattr(cli.arith, "factorize", work)
     monkeypatch.setattr(np, "linspace", work)
+    monkeypatch.setattr(np, "geomspace", work)
     rows = cli.arith._BYTE_BUDGET // cli._SQ_ROW_BYTES
     bins = cli.arith._BYTE_BUDGET // cli._BIN_BYTES
+    points = cli.arith._BYTE_BUDGET // cli._POINT_BYTES
     for argv in (["sq", "1", "--to", str(rows + 1)],
                  ["sq", "1", "--to", "200000000"],
                  ["histogram", "--first", "10", "--bins", str(bins + 1)],
-                 ["histogram", "--first", "10", "--bins", "200000000"]):
+                 ["histogram", "--first", "10", "--bins", "200000000"],
+                 ["count", "S", "--x", "1e7", "--points", str(points + 1)],
+                 ["count", "pi", "--Y", "1e9", "--points", str(points + 1)]):
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == "" and "budget" in err
-    # one item fewer is within the budget and reaches the work
+    # exactly the budget reaches the work
     for argv in (["sq", "1", "--to", str(rows)],
-                 ["histogram", "--first", "10", "--bins", str(bins)]):
+                 ["histogram", "--first", "10", "--bins", str(bins)],
+                 ["count", "S", "--x", "1e7", "--points", str(points)],
+                 ["count", "pi", "--Y", "1e9", "--points", str(points)]):
         with pytest.raises(AssertionError, match="worked before refusing"):
             main(argv)
 
@@ -590,6 +586,7 @@ def oracle_trace(w, t0, step):
 TABLES = [
     # q = 1 (no solutions listed), 2 (one), 3 (none), 5, 10, 25 (several)
     (["sq", "1", "--to", "30"], lambda: oracle_sq(1, 30)),
+    (["sq", "1", "--to", "60"], lambda: oracle_sq(1, 60)),
     (["sq", "65"], lambda: oracle_sq(65, 65)),
     (["count", "S", "--x", "5000", "--points", "40"], lambda: oracle_count("S", 5000, 40)),
     (["count", "tau", "--x", "777"], lambda: oracle_count("tau", 777, 1)),
