@@ -39,10 +39,11 @@ from .arith import _INT64_ROOT, _check_budget, _small_primes
 from .scatterset import _require_t0
 
 # Entries per streamed-sieve segment, chosen by timing 2^18..2^22: smaller
-# segments shrink the working arrays (about 35 bytes per entry), larger ones
-# keep the per-segment loop over the primes a small share of the work; 2^20
-# was the fastest sieve to 1e8 and 2e8 and as fast as any to 1e7.
+# segments shrink the working arrays (11 bytes per entry, 23 in checkpoint_sums),
+# larger ones keep the per-segment loop over the primes a small share of the
+# work; 2^20 was the fastest sieve to 1e8 and 2e8 and as fast as any to 1e7.
 _SEGMENT = 1 << 20
+_SLICE = 1 << 16  # entries per cofactor pass: its temporaries stay this size
 # The sublinear table stops below this many entries.  sublinear_sums adds
 # table values in int64 blocks of at most x*_POINT_TABLE/2, which stays below
 # 2**63 up to _POINT_SUMS_MAX; its running totals are Python ints.
@@ -55,11 +56,14 @@ _ROOT_TABLE = 2
 @dataclass(frozen=True)
 class CountTable:
     """Per-q root counts (index = q, entry 0 unused) plus exact prefix sums,
-    17 bytes per entry.  The all-moduli sum is read as tau(x) + tau(x/2)."""
+    13 bytes per entry.  The all-moduli sum is read as tau(x) + tau(x/2).
+    odd_roots_cum fits uint32: t(x) <= T(x), the count of lattice points
+    a >= 1, c >= 0 in the disc of radius sqrt(x), at most
+    isqrt(x)*(isqrt(x) + 1) <= x + sqrt(x) < 2**32 for x up to _INT64_ROOT."""
 
     limit: int
     roots: np.ndarray          # uint8: solutions of p^2 == -1 (mod q), with roots[1] = 1
-    odd_roots_cum: np.ndarray  # int64: cumulative roots over odd q only
+    odd_roots_cum: np.ndarray  # uint32: cumulative roots over odd q only
     members_cum: np.ndarray    # int64: cumulative (phi + roots) / 2
 
 
@@ -94,9 +98,10 @@ def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
     and is not 0).  The cofactor r = n / s, exact in float64, is 1, 0 at
     n = 0, or one prime above the last sieving prime; phi = f * (r - 1)
     when r > 1, else f * r.  The root count starts at 1 and doubles per
-    prime == 1 (mod 4); a prime == 3 (mod 4) or a factor 4 zeroes it.  The
-    callers stay below 2**32: checkpoint_sums refuses points past
-    _INT64_ROOT and the sublinear table stops below _POINT_TABLE.
+    prime == 1 (mod 4); a prime == 3 (mod 4) or a factor 4 zeroes it, all
+    _SLICE entries at a time.  The callers stay below 2**32: checkpoint_sums
+    refuses points past _INT64_ROOT and the sublinear table stops below
+    _POINT_TABLE.
     """
     n = hi - lo
     f = np.ones(n, dtype=np.uint32)
@@ -122,15 +127,16 @@ def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
                 f[sl] *= p
                 s[sl] *= p
             pk *= p
-    r = np.arange(lo, hi, dtype=np.float64)
-    r /= s
-    m = s  # reuses the buffer: m = r - 1 for a prime cofactor, else r
-    np.copyto(m, r, casting="unsafe")
-    del r
-    m -= m > 1
-    f *= m
-    # m % 4 is 0 past a prime == 1 (mod 4), 2 past one == 3 (mod 4), 1 at r = 1
-    roots *= _COFACTOR_ROOTS[m & 3]
+    for a in range(0, n, _SLICE):
+        m = s[a : a + _SLICE]  # reuses the buffer: m = r - 1 for a prime cofactor, else r
+        r = np.arange(lo + a, lo + a + m.size, dtype=np.float64)
+        r /= m
+        np.copyto(m, r, casting="unsafe")
+        m -= m > 1
+        f[a : a + _SLICE] *= m
+        # m % 4 is 0 past a prime == 1 (mod 4), 2 past one == 3 (mod 4), 1 at r = 1
+        m &= 3
+        roots[a : a + _SLICE] *= _COFACTOR_ROOTS[m]
     return f, roots
 
 
@@ -141,16 +147,18 @@ _COFACTOR_ROOTS = np.array([2, 1, 0, 0], dtype=np.uint8)
 def _carried_segments(top: int, table: CountTable | None = None):
     """Sieve 0..top segment by segment, yielding (lo, roots, c_odd,
     c_members): the segment's root counts and the running prefix sums of
-    roots over odd q and of (phi + roots)/2, carried across segments.
+    roots over odd q (uint32: t(x) < 2**32 up to _INT64_ROOT, see
+    CountTable, and so is any count bounded by t) and of (phi + roots)/2.
 
     With a table to top, each segment is written straight into its slices
     and the prefix sums yielded are those slices; without, they go to two
-    segment buffers reused from one segment to the next.
+    segment buffers reused from one segment to the next.  Each is summed in
+    place, the running total first added to its first entry.
     """
     primes = _small_primes(math.isqrt(top))
     if table is None:
         size = min(_SEGMENT, top + 1)
-        buf_odd, buf_members = np.empty(size, np.int64), np.empty(size, np.int64)
+        buf_odd, buf_members = np.empty(size, np.uint32), np.empty(size, np.int64)
     run_odd = run_members = 0
     for lo in range(0, top + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, top + 1)
@@ -162,28 +170,30 @@ def _carried_segments(top: int, table: CountTable | None = None):
             c_odd, c_members = table.odd_roots_cum[lo:hi], table.members_cum[lo:hi]
         phi += rt  # phi + roots stays below 2**32 and is even termwise
         phi >>= 1
-        np.cumsum(phi, dtype=np.int64, out=c_members)
-        c_members += run_members
-        odd = rt.copy()
-        odd[lo % 2 :: 2] = 0  # zero the even-q slots
-        np.cumsum(odd, dtype=np.int64, out=c_odd)
-        c_odd += run_odd
+        c_members[:] = phi
+        c_members[0] += run_members
+        np.cumsum(c_members, out=c_members)
+        c_odd[:] = rt
+        c_odd[lo % 2 :: 2] = 0  # zero the even-q slots
+        c_odd[0] += run_odd
+        np.cumsum(c_odd, dtype=np.uint32, out=c_odd)
         run_odd, run_members = int(c_odd[-1]), int(c_members[-1])
         yield lo, rt, c_odd, c_members
+        del phi, rt  # freed before the next segment is sieved
 
 
 def sieve_tables(limit: int) -> CountTable:
     """Materialized count table for all q <= limit.
 
-    Rejects a limit whose stored arrays, 17 bytes per entry, would pass the
-    byte budget (above 50,000,000 entries); use sublinear_sums for isolated
-    large evaluation points.
+    Rejects a limit whose stored arrays, 13 bytes per entry (uint8, uint32,
+    int64), would pass the byte budget (above 65,384,615 entries); use
+    sublinear_sums for isolated large evaluation points.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    _check_budget(17 * limit, f"a count table of {limit} entries")
+    _check_budget(13 * limit, f"a count table of {limit} entries")
     size = limit + 1
-    table = CountTable(limit, np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.int64),
+    table = CountTable(limit, np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint32),
                        np.empty(size, dtype=np.int64))
     for _ in _carried_segments(limit, table):
         pass
@@ -319,7 +329,7 @@ def sublinear_sums(points: Iterable[int], kinds: Iterable[str] = Sums._fields) -
     if "psi" in kinds:
         phi_cum = np.cumsum(phi, dtype=np.int64)
     del phi
-    roots_cum = np.cumsum(roots, dtype=np.int64)
+    roots_cum = np.cumsum(roots, dtype=np.uint32)  # T(b) < 2**32, see CountTable
     totals: dict[int, int] = {}  # T(v), shared by the points
 
     def total(v: int) -> int:

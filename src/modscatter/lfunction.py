@@ -21,6 +21,8 @@ import numpy as np
 
 from . import arith, counting
 
+_SUM_SLICE = 1 << 18  # odd entries series_by_sum adds at once
+
 
 @dataclass(frozen=True)
 class SeriesValue:
@@ -86,9 +88,11 @@ def series_by_sum(
     if table is None or table.limit < n_max:
         table = counting.sieve_tables(n_max)
     odd = table.roots[1 : n_max + 1 : 2]  # odd[i] is roots(2i + 1)
-    idx = np.flatnonzero(odd)
-    n = (2 * idx + 1).astype(np.float64)
-    value = float(np.sum(odd[idx] * n ** (-s)))
+    value = 0.0
+    for a in range(0, odd.size, _SUM_SLICE):
+        part = odd[a : a + _SUM_SLICE]
+        idx = np.flatnonzero(part)
+        value += float(np.sum(part[idx] * (2.0 * (idx + a) + 1) ** (-s)))
     tail = 2.0 * n_max ** (1.5 - s) / (s - 1.5)
     return SeriesValue(s, value, n_max, tail)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_small_prefix_values(table_1e4):
     names = [f.name for f in fields(table_1e4)]
     assert names == ["limit", "roots", "odd_roots_cum", "members_cum"]
     nbytes = sum(getattr(table_1e4, name).nbytes for name in names[1:])
-    assert nbytes == 17 * (table_1e4.limit + 1)
+    assert nbytes == 13 * (table_1e4.limit + 1)
     assert total_roots(1, table_1e4) == 1
     assert total_members(1, table_1e4) == 1
     assert total_roots(5, table_1e4) == 4  # 1 + 1 + 0 + 0 + 2
@@ -47,12 +48,12 @@ def test_budget_rejected(monkeypatch):
         raise AssertionError("allocated before refusing")
 
     monkeypatch.setattr(np, "empty", alloc)
-    # 17 bytes an entry: one entry past 50,000,000 passes the budget
-    for limit in (10**9, 50_000_001):
+    # 13 bytes an entry: one entry past 65,384,615 passes the budget
+    for limit in (10**9, 65_384_616):
         with pytest.raises(MemoryBudgetExceeded, match="budget"):
             sieve_tables(limit)
     with pytest.raises(AssertionError, match="allocated before refusing"):
-        sieve_tables(50_000_000)
+        sieve_tables(65_384_615)
     with pytest.raises(ValueError):
         sieve_tables(0)
 
@@ -81,7 +82,17 @@ def test_prefixes_monotone(table_1e6):
     total = table_1e6.odd_roots_cum[x] + table_1e6.odd_roots_cum[x // 2]
     assert (np.diff(total) >= 0).all()
     assert (np.diff(table_1e6.members_cum) >= 0).all()
-    assert (np.diff(table_1e6.odd_roots_cum) >= 0).all()
+    assert (np.diff(table_1e6.odd_roots_cum.astype(np.int64)) >= 0).all()
+
+
+def test_odd_prefix_within_uint32_bound(table_1e7):
+    # the odd prefix is stored as uint32 because t(x) <= T(x) <= x + sqrt(x),
+    # the lattice points a >= 1, c >= 0 in the disc of radius sqrt(x)
+    odd = table_1e7.odd_roots_cum
+    assert odd.dtype == np.uint32
+    x = np.arange(table_1e7.limit + 1, dtype=np.int64)
+    total = odd.astype(np.int64) + odd[x // 2]
+    assert (total <= x + np.sqrt(x).astype(np.int64)).all()
 
 
 def test_tau_examples(table_1e4):
@@ -279,13 +290,60 @@ def test_segment_at_the_int64_bound():
     cofactored = [k * p for p in big for k in range(-(-lo // p), (hi - 1) // p + 1)]
     sample = [*primes, *squares, *cofactored, hi - 1, *(rng.randrange(lo, hi) for _ in range(300))]
     assert len(primes) == 40 and len(squares) > 100 and len(cofactored) > 100
-    for n in sample:
+    _assert_segment_values(lo, phi, roots, sample)
+
+
+def _assert_segment_values(lo, phi, roots, values):
+    """phi and the root count of each value against factorize."""
+    for n in values:
         f = arith.factorize(n)
         expected = n
         for p, _ in f.factors:
             expected -= expected // p
         assert int(phi[n - lo]) == expected, n
         assert int(roots[n - lo]) == arith.count_sqrt_minus_one(f), n
+
+
+@pytest.mark.parametrize("hi", [counting._INT64_ROOT + 2, 10**7 + 54_321])
+def test_segment_across_cofactor_slices(hi):
+    # a segment longer than three cofactor slices and not a multiple of
+    # one: phi and the root count against factorize at both ends of every
+    # slice and at random values
+    size = counting._SLICE
+    lo = hi - (3 * size + 12_345)
+    phi, roots = counting._phi_roots_segment(lo, hi, counting._small_primes(math.isqrt(hi - 1)))
+    assert phi.size == hi - lo
+    rng = random.Random(hi)
+    ends = [i for a in range(0, hi - lo, size) for i in (a, min(a + size, hi - lo) - 1)]
+    assert len(ends) == 8
+    _assert_segment_values(lo, phi, roots, [lo + i for i in ends] +
+                           [rng.randrange(lo, hi) for _ in range(200)])
+
+
+def test_sieve_memory_per_segment():
+    # numpy reports its buffers to tracemalloc: the table holds 13 bytes an
+    # entry, and one segment's working set stays within 12 bytes an entry
+    # beside it (24 for checkpoint_sums, which adds two prefix buffers)
+    size = 3 * counting._SEGMENT + 1000
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def held():
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(numpy_only).traces)
+
+    tracemalloc.start()
+    try:
+        start = held()
+        table = sieve_tables(size)
+        assert held() - start == 13 * (size + 1)
+        current, peak = tracemalloc.get_traced_memory()
+        assert peak - current <= 12 * counting._SEGMENT + 2**20
+        del table
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        checkpoint_sums([10, size])
+        assert tracemalloc.get_traced_memory()[1] - start <= 24 * counting._SEGMENT + 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_checkpoints_refuse_int64_wrap(monkeypatch):
