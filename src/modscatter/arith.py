@@ -34,8 +34,8 @@ _MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
 # Largest n with n*n <= 2**63 - 1: products of two residues below it, the
 # sieve's prefix sums to x and the scan's p*p + 1 all stay inside int64.
 _INT64_ROOT = math.isqrt(MAX_N)
-# The byte budget of every working set that grows with the input: the size
-# of the largest count table, set as 50,000,000 entries at 17 bytes each.
+# The byte budget of every working set that grows with the input, and so
+# the size of the largest count table: 65,384,615 entries at 13 bytes each.
 _BYTE_BUDGET = 850_000_000
 _SCAN_CHUNK = 1 << 22
 

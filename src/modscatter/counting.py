@@ -145,10 +145,10 @@ _COFACTOR_ROOTS = np.array([2, 1, 0, 0], dtype=np.uint8)
 
 
 def _carried_segments(top: int, table: CountTable | None = None):
-    """Sieve 0..top segment by segment, yielding (lo, roots, c_odd,
-    c_members): the segment's root counts and the running prefix sums of
-    roots over odd q (uint32: t(x) < 2**32 up to _INT64_ROOT, see
-    CountTable, and so is any count bounded by t) and of (phi + roots)/2.
+    """Sieve 0..top segment by segment, yielding (lo, c_odd, c_members):
+    the running prefix sums of roots over odd q (uint32: t(x) < 2**32 up
+    to _INT64_ROOT, see CountTable, and so is any count bounded by t) and
+    of (phi + roots)/2.
 
     With a table to top, each segment is written straight into its slices
     and the prefix sums yielded are those slices; without, they go to two
@@ -178,8 +178,8 @@ def _carried_segments(top: int, table: CountTable | None = None):
         c_odd[0] += run_odd
         np.cumsum(c_odd, dtype=np.uint32, out=c_odd)
         run_odd, run_members = int(c_odd[-1]), int(c_members[-1])
-        yield lo, rt, c_odd, c_members
         del phi, rt  # freed before the next segment is sieved
+        yield lo, c_odd, c_members
 
 
 def sieve_tables(limit: int) -> CountTable:
@@ -224,8 +224,8 @@ def checkpoint_sums(points: Iterable[int]) -> dict[int, Sums]:
     members: dict[int, int] = {}
     pending = iter(sorted({*want, *(x // 2 for x in want)}))
     nxt = next(pending)
-    for lo, rt, c_odd, c_members in _carried_segments(top):
-        while nxt is not None and nxt < lo + rt.size:
+    for lo, c_odd, c_members in _carried_segments(top):
+        while nxt is not None and nxt < lo + c_odd.size:
             tau[nxt], members[nxt] = int(c_odd[nxt - lo]), int(c_members[nxt - lo])
             nxt = next(pending, None)
         if nxt is None:
