@@ -17,7 +17,6 @@ from .arith import (
     factorize,
     classify,
     hensel_lift,
-    sqrt_minus_one_brute,
     sqrt_minus_one_crt,
     sqrt_minus_one_mod_prime,
 )
@@ -30,7 +29,6 @@ from .counting import (
     count_geodesics,
     main_term,
     odd_modulus_roots,
-    roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
     sublinear_sums,
@@ -52,7 +50,6 @@ from .hyperbolic import (
 from .lfunction import (
     SeriesValue,
     dirichlet_beta,
-    residue_at_one,
     riemann_zeta,
     series_by_euler_product,
     series_by_sum,

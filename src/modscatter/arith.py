@@ -31,13 +31,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
                 (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
                 (3825123056546413051, 9))
-# Largest n with n*n <= 2**63 - 1: products of two residues below it, the
-# sieve's prefix sums to x and the scan's p*p + 1 all stay inside int64.
+# Largest n with n*n <= 2**63 - 1: products of two residues below it and
+# the sieve's prefix sums to x stay inside int64.
 _INT64_ROOT = math.isqrt(MAX_N)
 # The byte budget of every working set that grows with the input, and so
 # the size of the largest count table: 65,384,615 entries at 13 bytes each.
 _BYTE_BUDGET = 850_000_000
-_SCAN_CHUNK = 1 << 22
 
 
 class MemoryBudgetExceeded(ValueError):
@@ -59,10 +58,6 @@ class Factorization:
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
 
 
 class CongruenceClass(enum.Enum):
@@ -254,25 +249,6 @@ def count_sqrt_minus_one(q: int | Factorization) -> int:
     if c.kind is CongruenceClass.NO_SOLUTIONS:
         return 0
     return 1 << c.omega
-
-
-def sqrt_minus_one_brute(q: int) -> list[int]:
-    """Exhaustive-scan oracle: all p in [1, q) with p*p + 1 == 0 (mod q), sorted.
-
-    Definitional and independent of the classification above.  Returns [] for
-    q = 1 (the count convention there is handled by the caller).  A chunked
-    int64 scan; refuses q above _INT64_ROOT, where (q-1)**2 would wrap.
-    """
-    if q < 1:
-        raise ValueError("q must be positive")
-    if q > _INT64_ROOT:
-        raise ValueError(f"q = {q} exceeds {_INT64_ROOT}, where the int64 scan would wrap")
-    out: list[int] = []
-    for lo in range(1, q, _SCAN_CHUNK):
-        p = np.arange(lo, min(lo + _SCAN_CHUNK, q), dtype=np.int64)
-        hits = p[(p * p + 1) % q == 0]
-        out.extend(int(v) for v in hits)
-    return out
 
 
 def sqrt_minus_one_mod_prime(p: int) -> tuple[int, int]:

@@ -227,10 +227,10 @@ def _cmd_g(args) -> None:
     _emit_family(scatterset.family_blocks(args.first), args)
 
 
-def _log_spaced(hi: float, points: int, lo: float = 10.0) -> list[int]:
-    if points <= 1 or hi <= lo:
+def _log_spaced(hi: float, points: int) -> list[int]:
+    if points <= 1 or hi <= 10.0:
         return [int(math.floor(hi))]
-    xs = np.geomspace(lo, hi, points)
+    xs = np.geomspace(10.0, hi, points)
     out = sorted({int(math.floor(v)) for v in xs})
     if out[-1] != int(math.floor(hi)):
         out.append(int(math.floor(hi)))
@@ -322,6 +322,9 @@ def _cmd_trace(args) -> None:
 
 def _cmd_series(args) -> None:
     _check_cap(args.terms, args, "truncation")
+    for s in args.s:  # refused as the routes below refuse it, before the sieve
+        lfunction._require_tail_s(s)
+        lfunction._require_zeta_s(2 * s)
     rows = []
     table = counting.sieve_tables(args.terms)
     for s in args.s:

@@ -460,17 +460,6 @@ def count_geodesics(Y: float, t0: float, table: CountTable) -> int:
     return table.members_cum.item(k)
 
 
-def roots_sum_in_bounds(x: float, table: CountTable) -> bool:
-    """Whether 2*floor(sqrt(x-1)) - 1 <= total_roots(x) <= (2/3)*(x+1)**1.5,
-    two inequalities that hold for every x >= 5, at this one x."""
-    if x < 5:
-        raise ValueError("bounds are asserted for x >= 5 only")
-    s = total_roots(x, table)
-    lower = 2 * math.isqrt(math.floor(x) - 1) - 1
-    upper = (2.0 / 3.0) * (x + 1.0) ** 1.5
-    return lower <= s <= upper
-
-
 _KINDS = (*Sums._fields, "pi")
 
 

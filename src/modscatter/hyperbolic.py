@@ -7,8 +7,8 @@ integer nearest to Re z, and invert z -> -1/z while |z| < 1.  An inversion
 strictly inside the unit circle raises the imaginary part, so the walk ends,
 after about one step per partial quotient of the nearest-integer continued
 fraction.  It stops with |Re z| <= 1/2; a final shift by +1 of the points
-with Re z < 0 lands in the domain above.  Points within `eps` of a boundary
-are accepted as inside.
+with Re z < 0 lands in the domain above.  Points within DEFAULT_EPS of a
+boundary are accepted as inside.
 
 The geodesic labelled by w = p/q lifts to the vertical line Re = p/q.  In
 the quotient it crosses into the region Im <= t0 at height t0 and leaves it
@@ -31,6 +31,7 @@ from .scatterset import UnimodularMatrix, _require_t0, partner, sojourn_time
 
 DEFAULT_EPS = 1e-9
 MAX_REDUCTION_STEPS = 256
+_INSIDE_SQ = (1.0 - DEFAULT_EPS) ** 2  # least |z|^2 accepted outside the unit circle
 
 _INVERT = UnimodularMatrix(0, -1, 1, 0)  # z -> -1/z
 _SHIFT = UnimodularMatrix(1, 1, 0, 1)    # z -> z + 1
@@ -67,12 +68,12 @@ def hyperbolic_distance(z1: complex, z2: complex) -> float:
     return math.acosh(1.0 + d2 / (2.0 * z1.imag * z2.imag))
 
 
-def in_fundamental_domain(z: complex, eps: float = DEFAULT_EPS) -> bool:
+def in_fundamental_domain(z: complex) -> bool:
     x, y = z.real, z.imag
-    if x < -eps or x > 1.0 + eps:
+    if x < -DEFAULT_EPS or x > 1.0 + DEFAULT_EPS:
         return False
     u = min(abs(x), abs(x - 1.0))  # distance to the nearer centre, 0 or 1
-    return u * u + y * y >= (1.0 - eps) ** 2
+    return u * u + y * y >= _INSIDE_SQ
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,16 @@ class ReducedPoint:
     matrix: UnimodularMatrix
 
 
-def reduce_to_domain(
-    z: complex, eps: float = DEFAULT_EPS, max_steps: int = MAX_REDUCTION_STEPS
-) -> ReducedPoint:
+def reduce_to_domain(z: complex, max_steps: int = MAX_REDUCTION_STEPS) -> ReducedPoint:
     """Walk z into the fundamental domain, accumulating the applied matrix."""
     w = _require_upper(z)
     g = UnimodularMatrix.identity()
-    lim = (1.0 - eps) ** 2
     for _ in range(max_steps):
         n = round(w.real)
         if n:
             w = complex(w.real - n, w.imag)
             g = UnimodularMatrix(1, -n, 0, 1) * g
-        if w.real * w.real + w.imag * w.imag >= lim:
+        if w.real * w.real + w.imag * w.imag >= _INSIDE_SQ:
             break
         w = -1.0 / w
         g = _INVERT * g
@@ -108,9 +106,7 @@ def reduce_to_domain(
     return ReducedPoint(w, g)
 
 
-def reduce_points(
-    zs: np.ndarray, eps: float = DEFAULT_EPS, max_steps: int = MAX_REDUCTION_STEPS
-) -> np.ndarray:
+def reduce_points(zs: np.ndarray, max_steps: int = MAX_REDUCTION_STEPS) -> np.ndarray:
     """Fundamental-domain representatives of an array of points.
 
     Vectorised version of reduce_to_domain without matrix tracking: each
@@ -120,23 +116,22 @@ def reduce_points(
     w = np.array(zs, dtype=np.complex128)
     if w.size and (w.imag <= 0).any():
         raise ValueError("all points must lie in the open upper half-plane")
-    _reduce_in_place(w.reshape(-1), eps, max_steps)
+    _reduce_in_place(w.reshape(-1), max_steps)
     return w
 
 
-def _reduce_in_place(flat: np.ndarray, eps: float, max_steps: int) -> None:
+def _reduce_in_place(flat: np.ndarray, max_steps: int) -> None:
     """reduce_points on a 1-d complex128 array, overwriting it.
 
     The first step works on `flat` itself and later ones on a compacted copy
     of the points still walking, so a step costs only what is still walking;
     each point is written back once, when it leaves the unit circle."""
-    lim = (1.0 - eps) ** 2
     v, active = flat, np.arange(flat.size)
     for _ in range(max_steps):
         x = v.real
         x -= np.rint(x)
         with np.errstate(over="ignore"):  # a height past 1e154 squares to inf: outside
-            inside = x**2 + v.imag**2 < lim
+            inside = x**2 + v.imag**2 < _INSIDE_SQ
         if v is not flat:
             done = ~inside
             flat[active[done]] = v[done]
@@ -232,6 +227,6 @@ def trace_sojourn(
     a = partner(p, q) if q > 1 else 0
     reduced.real[low] = float(Fraction(a, q))
     reduced.imag[low] = 1.0 / (float(q) ** 2 * y[low])
-    _reduce_in_place(reduced, DEFAULT_EPS, MAX_REDUCTION_STEPS)
+    _reduce_in_place(reduced, MAX_REDUCTION_STEPS)
     in_core = reduced.imag <= t0
     return GeodesicTrace(w, t0, step, t, y, reduced, in_core)

@@ -22,6 +22,8 @@ import numpy as np
 from . import arith, counting
 
 _SUM_SLICE = 1 << 18  # odd entries series_by_sum adds at once
+_ZETA_TERMS = 100_000  # integers riemann_zeta sums before its tail correction
+_BETA_TERMS = 256  # raw terms dirichlet_beta averages
 
 
 @dataclass(frozen=True)
@@ -32,14 +34,23 @@ class SeriesValue:
     tail_bound: float
 
 
-def riemann_zeta(s: float, terms: int = 100_000) -> tuple[float, float]:
-    """(zeta(s), error bound) for s > 1: direct sum plus the first
-    Euler-Maclaurin corrections."""
+def _require_zeta_s(s: float) -> None:
     if not 1 < s < math.inf:
         raise ValueError(f"s must be a finite number above 1, got {s}")
-    n = np.arange(1, terms + 1, dtype=np.float64)
+
+
+def _require_tail_s(s: float) -> None:
+    if s <= 1.5:
+        raise ValueError("the tail estimate requires s > 1.5")
+
+
+def riemann_zeta(s: float) -> tuple[float, float]:
+    """(zeta(s), error bound) for s > 1: direct sum plus the first
+    Euler-Maclaurin corrections."""
+    _require_zeta_s(s)
+    n = np.arange(1, _ZETA_TERMS + 1, dtype=np.float64)
     head = float(np.sum(n ** (-s)))
-    big_n = float(terms)
+    big_n = float(_ZETA_TERMS)
     # sum_{n > N} n^-s = N^(1-s)/(s-1) - N^-s/2 + s*N^(-s-1)/12 - ...
     tail = big_n ** (1 - s) / (s - 1) - 0.5 * big_n ** (-s) + s * big_n ** (-s - 1) / 12.0
     # N^(-s-3) first: for huge s it underflows to 0 before s^3 can overflow
@@ -47,22 +58,22 @@ def riemann_zeta(s: float, terms: int = 100_000) -> tuple[float, float]:
     return head + tail, err
 
 
-def dirichlet_beta(s: float, terms: int = 256) -> float:
+def dirichlet_beta(s: float) -> float:
     """beta(s) = 1 - 3^-s + 5^-s - ... by iterated pairwise averaging.
 
     Repeatedly replacing the partial-sum sequence by adjacent means converges
     geometrically for this alternating series, so a few hundred raw terms
     reach full double precision even at s = 1 (where beta(1) = pi/4).
     """
-    return _beta_and_gap(s, terms)[0]
+    return _beta_and_gap(s)[0]
 
 
-def _beta_and_gap(s: float, terms: int = 256) -> tuple[float, float]:
+def _beta_and_gap(s: float) -> tuple[float, float]:
     """beta(s) and a self-estimate of its averaging error, the gap between
     the last two stages, from one pass."""
     if s <= 0:
         raise ValueError("s must be positive")
-    k = np.arange(terms, dtype=np.float64)
+    k = np.arange(_BETA_TERMS, dtype=np.float64)
     partial = np.cumsum((-1.0) ** k * (2.0 * k + 1.0) ** (-s))
     prev = partial
     while partial.size > 1:
@@ -81,8 +92,7 @@ def series_by_sum(
     below d(n) <= 2*sqrt(n)), which needs s > 3/2; the true tail is far
     smaller because qualifying n are sparse.
     """
-    if s <= 1.5:
-        raise ValueError("the tail estimate requires s > 1.5")
+    _require_tail_s(s)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if table is None or table.limit < n_max:
@@ -113,19 +123,13 @@ def series_by_euler_product(s: float, p_max: int) -> SeriesValue:
     return SeriesValue(s, value, int(primes.size), value * math.expm1(log_tail))
 
 
-def series_by_zeta_identity(s: float, terms: int = 100_000) -> SeriesValue:
+def series_by_zeta_identity(s: float) -> SeriesValue:
     """zeta(s)*beta(s)/((1 + 2^-s)*zeta(2s)) with a combined error estimate."""
     if s <= 1:
         raise ValueError("s must exceed 1")
-    z1, e1 = riemann_zeta(s, terms)
-    z2, e2 = riemann_zeta(2 * s, terms)
+    z1, e1 = riemann_zeta(s)
+    z2, e2 = riemann_zeta(2 * s)
     beta, eb = _beta_and_gap(s)
     value = z1 * beta / ((1.0 + 2.0 ** (-s)) * z2)
     rel = e1 / z1 + e2 / z2 + eb / abs(beta)
-    return SeriesValue(s, value, terms, abs(value) * rel)
-
-
-def residue_at_one() -> float:
-    """Density constant 4*beta(1)/pi^2, equal to 1/pi: the limiting slope of
-    the odd-modulus root count divided by x."""
-    return 4.0 * dirichlet_beta(1.0) / (math.pi * math.pi)
+    return SeriesValue(s, value, _ZETA_TERMS, abs(value) * rel)

@@ -13,6 +13,7 @@ from modscatter import arith, counting, lfunction, scatterset
 from modscatter.cli import main as cli_main
 from modscatter.hyperbolic import trace_sojourn
 from modscatter.scatterset import INFINITY
+from oracles import sqrt_minus_one_brute
 
 
 @contextmanager
@@ -28,7 +29,7 @@ def criterion(number, description):
 def test_criterion_1_oracle_equivalence():
     with criterion(1, "structure count and CRT solutions match the brute-force oracle, q <= 2e4"):
         for q in range(2, 20_001):
-            sols = arith.sqrt_minus_one_brute(q)
+            sols = sqrt_minus_one_brute(q)
             assert arith.count_sqrt_minus_one(q) == len(sols), q
             if sols:
                 assert arith.sqrt_minus_one_crt(q) == sols, q
@@ -144,7 +145,8 @@ def test_criterion_9_series_identity(table_1e7):
             assert abs(direct - euler) <= 1e-4, s
             assert abs(euler - closed) <= 1e-4, s
             assert abs(direct - closed) <= 1e-4, s
-        assert abs(lfunction.residue_at_one() - 1 / math.pi) <= 1e-8
+        residue = 4.0 * lfunction.dirichlet_beta(1.0) / (math.pi * math.pi)
+        assert abs(residue - 1 / math.pi) <= 1e-8
 
 
 def test_criterion_10_histogram(capsys):

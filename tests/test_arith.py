@@ -13,10 +13,10 @@ from modscatter.arith import (
     count_sqrt_minus_one,
     factorize,
     hensel_lift,
-    sqrt_minus_one_brute,
     sqrt_minus_one_crt,
     sqrt_minus_one_mod_prime,
 )
+from oracles import sqrt_minus_one_brute
 
 
 def test_factorize_golden():

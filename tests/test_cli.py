@@ -11,6 +11,7 @@ import pytest
 
 from modscatter import cli, counting, hyperbolic, lfunction, scatterset
 from modscatter.cli import main
+from oracles import sqrt_minus_one_brute
 
 
 def run(capsys, *argv):
@@ -538,7 +539,7 @@ def test_held_rows_refused_before_work(capsys, monkeypatch):
 def oracle_sq(first, last):
     rows = []
     for q in range(first, last + 1):
-        sols = cli.arith.sqrt_minus_one_brute(q)
+        sols = sqrt_minus_one_brute(q)
         rows.append({"q": q, "s": 1 if q == 1 else len(sols), "solutions": sols})
     return ["q", "s", "solutions"], rows
 
@@ -850,6 +851,19 @@ def test_parser_is_built_once(capsys):
     capsys.readouterr()
     for argv, out in zip(calls, fresh):
         assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["1.2"], "1.5"),
+    (["2.0", "1.2"], "1.5"),
+    (["1e308"], "finite"),
+])
+def test_series_bad_s_refused_before_the_sieve(capsys, monkeypatch, tmp_path, argv, word):
+    def work(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(counting, "sieve_tables", work)
+    _refused_before_work(capsys, tmp_path, ["series", *argv, "--terms", "10000000"], 3, word)
 
 
 @pytest.mark.parametrize("s", ["1e103", "8.98e307", "1e308"])

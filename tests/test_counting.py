@@ -16,7 +16,6 @@ from modscatter.counting import (
     count_geodesics,
     main_term,
     odd_modulus_roots,
-    roots_sum_in_bounds,
     sieve_tables,
     sojourn_threshold,
     sublinear_sums,
@@ -24,6 +23,7 @@ from modscatter.counting import (
     total_members,
     total_roots,
 )
+from oracles import sqrt_minus_one_brute
 
 
 def _phi(n):
@@ -74,7 +74,7 @@ def test_roots_column_matches_structure_count(table_1e4):
 
 def test_roots_column_matches_brute(table_1e4):
     for q in range(2, 600):
-        assert int(table_1e4.roots[q]) == len(arith.sqrt_minus_one_brute(q))
+        assert int(table_1e4.roots[q]) == len(sqrt_minus_one_brute(q))
 
 
 def test_prefixes_monotone(table_1e6):
@@ -162,10 +162,10 @@ def test_geodesic_count_against_enumeration(table_1e4):
 
 
 def test_bounds_hold(table_1e6):
+    # 2*floor(sqrt(x-1)) - 1 <= S(x) <= (2/3)*(x+1)**1.5 holds for every x >= 5
     for x in (5, 100, 10**5, 10**6):
-        assert roots_sum_in_bounds(x, table_1e6)
-    with pytest.raises(ValueError):
-        roots_sum_in_bounds(4, table_1e6)
+        s = total_roots(x, table_1e6)
+        assert 2 * math.isqrt(x - 1) - 1 <= s <= (2.0 / 3.0) * (x + 1.0) ** 1.5, x
 
 
 def test_bounds_explicit_at_five(table_1e4):

@@ -7,7 +7,6 @@ from modscatter.arith import count_sqrt_minus_one
 from modscatter.counting import sieve_tables
 from modscatter.lfunction import (
     dirichlet_beta,
-    residue_at_one,
     riemann_zeta,
     series_by_euler_product,
     series_by_sum,
@@ -33,7 +32,8 @@ def test_beta_special_values():
 
 
 def test_residue_constant():
-    c = residue_at_one()
+    # the residue 4*beta(1)/pi^2 of the series at s = 1 is the density constant 1/pi
+    c = 4.0 * dirichlet_beta(1.0) / (math.pi * math.pi)
     assert abs(c - 1 / math.pi) <= 1e-8
     assert abs(c * math.pi - 1) <= 1e-7
 
@@ -140,4 +140,5 @@ def test_residue_matches_empirical_slope(table_1e7):
     from modscatter.counting import odd_modulus_roots
 
     slope = odd_modulus_roots(10**7, table_1e7) / 10**7
-    assert abs(residue_at_one() / slope - 1) < 0.05
+    residue = 4.0 * dirichlet_beta(1.0) / (math.pi * math.pi)
+    assert abs(residue / slope - 1) < 0.05
