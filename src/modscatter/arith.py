@@ -138,7 +138,15 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-def _small_primes(n: int) -> np.ndarray:
+def _prime_bytes(n: int) -> int:
+    """Bytes of the sieve to n and its int64 primes: (n + 1)//2 flags and
+    8 bytes a prime, as pi(n) < 1.25506*n/ln(n) for n > 1 (Rosser-Schoenfeld)."""
+    if n < 2:
+        return 0
+    return (n + 1) // 2 + 8 * math.ceil(1.25506 * n / math.log(n))
+
+
+def _sieve_primes(n: int) -> np.ndarray:
     """Primes up to n, ascending, as int64."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
@@ -153,28 +161,37 @@ def _small_primes(n: int) -> np.ndarray:
     return primes
 
 
-# (top, the primes up to top as int64): sieved on first need, never at
-# import, and replaced whole, only when a larger bound is asked for.
-_trial_table: tuple[int, np.ndarray] = (0, np.zeros(0, dtype=np.int64))
+# (top, the primes up to top as read-only int64): the one prime table of the
+# process, read by trial division, the segment sieves and the Euler product.
+# Sieved on first need, never at import, and replaced whole, only when a
+# larger bound is asked for; callers keep views of the table they were given.
+_prime_table: tuple[int, np.ndarray] = (0, np.zeros(0, dtype=np.int64))
+_prime_table[1].flags.writeable = False
 
 
-def _trial_divisors(lo: int, hi: int) -> np.ndarray:
-    """The primes in (lo, hi], for hi <= _TRIAL_LIMIT."""
-    global _trial_table
-    top, primes = _trial_table
-    if hi > top:
-        # doubling keeps a run of growing bounds to a few sieves
-        top = min(_TRIAL_LIMIT, max(hi, 2 * top))
-        primes = _small_primes(top)
-        _trial_table = (top, primes)
-    primes = primes[: primes.searchsorted(hi, "right")]
-    return primes[primes.searchsorted(lo, "right") :] if lo else primes
+def _small_primes(n: int) -> np.ndarray:
+    """Primes up to n, ascending, as a read-only int64 view of the shared table."""
+    global _prime_table
+    top, primes = _prime_table
+    if n > top:
+        _check_budget(_prime_bytes(n), f"the primes up to {n}")
+        # doubling keeps a run of growing bounds to a few sieves, but never
+        # past the budget that n itself meets
+        top = max(n, 2 * top)
+        if _prime_bytes(top) > _BYTE_BUDGET:
+            top = n
+        primes = _sieve_primes(top)
+        primes.flags.writeable = False
+        _prime_table = (top, primes)
+    return primes[: primes.searchsorted(n, "right")]
 
 
 def _trial_divide(m: int, lo: int, hi: int, factors: list[tuple[int, int]]) -> int:
     """m with every prime in (lo, hi] divided out, each appended to factors
     with its exponent."""
-    primes = _trial_divisors(lo, hi)
+    primes = _small_primes(hi)
+    if lo:
+        primes = primes[primes.searchsorted(lo, "right") :]
     # one int64 pass finds every prime divisor in the range (m < 2**63)
     for d in primes[m % primes == 0].tolist():
         e = 0

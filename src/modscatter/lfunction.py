@@ -101,7 +101,7 @@ def series_by_sum(
     value = 0.0
     for a in range(0, odd.size, _SUM_SLICE):
         part = odd[a : a + _SUM_SLICE]
-        idx = np.flatnonzero(part)
+        idx = np.flatnonzero(part != 0)  # numpy's bool fast path
         value += float(np.sum(part[idx] * (2.0 * (idx + a) + 1) ** (-s)))
     tail = 2.0 * n_max ** (1.5 - s) / (s - 1.5)
     return SeriesValue(s, value, n_max, tail)
@@ -109,11 +109,13 @@ def series_by_sum(
 
 def series_by_euler_product(s: float, p_max: int) -> SeriesValue:
     """Partial product of (1 + p^-s)/(1 - p^-s) over primes p == 1 (mod 4)
-    up to p_max; empty products are 1."""
+    up to p_max; empty products are 1.  The primes are read from the shared
+    prime table, so a p_max whose sieve would pass the byte budget is
+    refused with arith.MemoryBudgetExceeded before anything is allocated."""
     if s <= 1:
         raise ValueError("s must exceed 1")
     primes = arith._small_primes(p_max)
-    primes = primes[primes % 4 == 1]
+    primes = primes[(primes & 3) == 1]
     if primes.size == 0:
         return SeriesValue(s, 1.0, 0, 0.0)
     x = primes.astype(np.float64) ** (-s)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from modscatter import arith
+from modscatter import arith, lfunction
 from modscatter.arith import (
     CongruenceClass,
     classify,
@@ -125,31 +125,88 @@ def test_factorize_declares_small_cofactors_prime(monkeypatch):
 @pytest.mark.parametrize("n, factors", [(10**12, ((2, 12), (5, 12))),
                                         (2 * 1000003, ((2, 1), (1000003, 1)))])
 def test_factorize_stops_at_cube_root(monkeypatch, n, factors):
-    # a table holding no prime past the cube root, topped at the trial limit
-    # so nothing is sieved, and a record of every prime range asked of it
+    # a prime table holding no prime past the cube root, topped at the trial
+    # limit so nothing is sieved, and a record of every bound asked of it
     cube = round(n ** (1 / 3))
     while cube**3 > n:
         cube -= 1
-    monkeypatch.setattr(arith, "_trial_table", (arith._TRIAL_LIMIT, arith._small_primes(cube)))
+    monkeypatch.setattr(arith, "_prime_table", (arith._TRIAL_LIMIT, arith._sieve_primes(cube)))
     asked = []
-    trial_divisors = arith._trial_divisors
+    small_primes = arith._small_primes
 
-    def record(lo, hi):
+    def record(hi):
         asked.append(hi)
-        return trial_divisors(lo, hi)
+        return small_primes(hi)
 
-    monkeypatch.setattr(arith, "_trial_divisors", record)
+    monkeypatch.setattr(arith, "_small_primes", record)
     assert factorize(n).factors == factors
     assert asked and max(asked) <= cube
 
 
-def test_small_primes_odd_sieve():
-    # ascending int64 with 2 first, against trial division, for every n <= 200
-    for n in range(201):
-        expect = [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
-        primes = arith._small_primes(n)
-        assert primes.dtype == np.int64
-        assert primes.tolist() == expect, n
+def _trial_primes(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+
+def test_small_primes_odd_sieve(monkeypatch):
+    # ascending int64 with 2 first, against trial division, for every
+    # n <= 200, from a table grown by doubling from empty and from one
+    # grown to 10**5
+    monkeypatch.setattr(arith, "_prime_table", (0, np.zeros(0, dtype=np.int64)))
+    for grown in (False, True):
+        if grown:
+            arith._small_primes(10**5)
+            assert arith._prime_table[0] >= 10**5
+        for n in range(201):
+            primes = arith._small_primes(n)
+            assert primes.dtype == np.int64
+            assert primes.tolist() == _trial_primes(n), (grown, n)
+
+
+def test_small_primes_are_read_only():
+    primes = arith._small_primes(100)
+    with pytest.raises(ValueError, match="read-only"):
+        primes[0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        primes *= 2
+    assert arith._small_primes(100).tolist() == _trial_primes(100)
+
+
+def test_prime_bytes_bound_the_sieve():
+    # flags for the odd numbers plus 8 bytes for every prime, never fewer
+    for n in (2, 3, 10, 100, 1000, 10**5, 10**6):
+        pi = len(arith._sieve_primes(n))
+        assert (n + 1) // 2 + 8 * pi <= arith._prime_bytes(n) <= (n + 1) // 2 + 16 * pi + 64, n
+
+
+def test_prime_table_refused_before_the_sieve(monkeypatch):
+    def sieve(n):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(arith, "_prime_table", (0, np.zeros(0, dtype=np.int64)))
+    monkeypatch.setattr(arith, "_sieve_primes", sieve)
+    with pytest.raises(arith.MemoryBudgetExceeded, match="primes up to 10000000000"):
+        lfunction.series_by_euler_product(2.0, 10**10)
+    assert arith._prime_table[0] == 0
+
+
+def test_prime_table_doubles_only_within_the_budget(monkeypatch):
+    sieved = []
+
+    def sieve(n):
+        sieved.append(n)
+        return np.array([2, 3, 5], dtype=np.int64)  # a stand-in: nothing this large is sieved
+
+    # doubling 5e8 would pass the budget, which n = 5e8 + 1 itself meets
+    top, n = 5 * 10**8, 5 * 10**8 + 1
+    assert arith._prime_bytes(n) <= arith._BYTE_BUDGET < arith._prime_bytes(2 * top)
+    monkeypatch.setattr(arith, "_prime_table", (top, np.array([2, 3], dtype=np.int64)))
+    monkeypatch.setattr(arith, "_sieve_primes", sieve)
+    assert arith._small_primes(n).tolist() == [2, 3, 5]
+    assert sieved == [n] and arith._prime_table[0] == n
+    # within the budget the table doubles
+    monkeypatch.setattr(arith, "_prime_table", (1000, np.array([2, 3], dtype=np.int64)))
+    arith._small_primes(1001)
+    assert sieved == [n, 2000] and arith._prime_table[0] == 2000
 
 
 def test_is_prime_witness_prefixes():
@@ -164,8 +221,8 @@ def test_is_prime_witness_prefixes():
 
 def test_trial_primes_are_built_lazily():
     code = ("import modscatter.cli; from modscatter import arith\n"
-            "modscatter.cli.build_parser(); print(arith._trial_table[0])\n"
-            "arith.factorize(7); print(arith._trial_table[0])\n")
+            "modscatter.cli.build_parser(); print(arith._prime_table[0])\n"
+            "arith.factorize(7); print(arith._prime_table[0])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     unbuilt, after_seven = map(int, proc.stdout.split())

@@ -278,6 +278,22 @@ def test_series_routes(capsys):
         assert float(cells[4]) < 1e-3
 
 
+def test_series_sieves_its_primes_once(capsys, monkeypatch):
+    sieved = []
+    sieve = cli.arith._sieve_primes
+
+    def record(n):
+        sieved.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(cli.arith, "_prime_table", (0, np.zeros(0, dtype=np.int64)))
+    monkeypatch.setattr(cli.arith, "_sieve_primes", record)
+    code, _, _ = run(capsys, "series", "1.6", "2.345", "4.0", "--terms", "100000")
+    assert code == 0
+    # the count table's sieving primes, then the Euler product's, shared by every s
+    assert sieved == [math.isqrt(100000), 100000]
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "sq", "65", "--out", str(path))

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special
 
+from modscatter import arith, lfunction
 from modscatter.arith import count_sqrt_minus_one
 from modscatter.counting import sieve_tables
 from modscatter.lfunction import (
@@ -53,6 +55,37 @@ def test_three_routes_agree():
         assert abs(d.value - e.value) <= 1e-3
         assert abs(e.value - c.value) <= 1e-3
         assert abs(d.value - c.value) <= d.tail_bound + c.tail_bound
+
+
+def _sum_plain(s, n_max, table):
+    # series_by_sum's loop with numpy's integer flatnonzero
+    odd = table.roots[1 : n_max + 1 : 2]
+    value = 0.0
+    for a in range(0, odd.size, lfunction._SUM_SLICE):
+        part = odd[a : a + lfunction._SUM_SLICE]
+        idx = np.flatnonzero(part)
+        value += float(np.sum(part[idx] * (2.0 * (idx + a) + 1) ** (-s)))
+    return value
+
+
+def _euler_plain(s, p_max):
+    # series_by_euler_product on a fresh sieve with the int64 % 4 filter
+    primes = arith._sieve_primes(p_max)
+    primes = primes[primes % 4 == 1]
+    x = primes.astype(np.float64) ** (-s)
+    return float(np.prod((1.0 + x) / (1.0 - x))), int(primes.size)
+
+
+def test_sum_and_product_are_bit_identical_to_their_plain_forms():
+    # 3*2^18 + 5 spans two _SUM_SLICE slices of odd entries
+    top = 3 * 2**18 + 5
+    table = sieve_tables(top)
+    for n in (10**5, top):
+        for s in (1.6, 2.345, 4.0):
+            d = series_by_sum(s, n, table=table)
+            assert (d.value, d.terms_used) == (_sum_plain(s, n, table), n), (s, n)
+            e = series_by_euler_product(s, n)
+            assert (e.value, e.terms_used) == _euler_plain(s, n), (s, n)
 
 
 def test_large_s_tends_to_one():
