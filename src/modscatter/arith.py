@@ -180,6 +180,8 @@ def _small_primes(n: int) -> np.ndarray:
         top = max(n, 2 * top)
         if _prime_bytes(top) > _BYTE_BUDGET:
             top = n
+        # let the old table go first, so a growth holds only what was priced
+        _prime_table = (0, _prime_table[1][:0])
         primes = _sieve_primes(top)
         primes.flags.writeable = False
         _prime_table = (top, primes)

@@ -160,6 +160,11 @@ def test_small_primes_odd_sieve(monkeypatch):
             primes = arith._small_primes(n)
             assert primes.dtype == np.int64
             assert primes.tolist() == _trial_primes(n), (grown, n)
+    # and the sieve itself at every n, odd sizes included
+    for n in range(201):
+        primes = arith._sieve_primes(n)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == _trial_primes(n), n
 
 
 def test_small_primes_are_read_only():
@@ -193,6 +198,7 @@ def test_prime_table_doubles_only_within_the_budget(monkeypatch):
     sieved = []
 
     def sieve(n):
+        assert arith._prime_table[0] == 0, "the old table is still held"
         sieved.append(n)
         return np.array([2, 3, 5], dtype=np.int64)  # a stand-in: nothing this large is sieved
 
