@@ -9,13 +9,10 @@ cross-checks the sojourn formula by numerical geodesic flow.
 """
 
 from .arith import (
-    Classification,
-    CongruenceClass,
     Factorization,
     MemoryBudgetExceeded,
     count_sqrt_minus_one,
     factorize,
-    classify,
     hensel_lift,
     sqrt_minus_one_crt,
     sqrt_minus_one_mod_prime,

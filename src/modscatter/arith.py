@@ -10,7 +10,6 @@ downstream.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import random
@@ -43,7 +42,7 @@ class MemoryBudgetExceeded(ValueError):
     """A requested table or working set is larger than the memory budget."""
 
 
-def _check_budget(nbytes: int, what: str) -> None:
+def _check_budget(nbytes: float, what: str) -> None:
     """Refuse a working set of about nbytes bytes, described by what, that
     would pass the byte budget; call it before anything is allocated."""
     if nbytes > _BYTE_BUDGET:
@@ -58,18 +57,6 @@ class Factorization:
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-
-class CongruenceClass(enum.Enum):
-    NO_SOLUTIONS = "no_solutions"  # 4 | q, or some prime factor is 3 (mod 4)
-    ODD = "odd"                    # q odd with every prime factor 1 (mod 4); includes q = 1
-    TWICE_ODD = "twice_odd"        # q = 2m with m odd and every prime factor of m 1 (mod 4)
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: CongruenceClass
-    omega: int  # distinct prime factors of the odd part; 0 when NO_SOLUTIONS
 
 
 def is_prime(n: int) -> bool:
@@ -244,30 +231,17 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def classify(f: Factorization) -> Classification:
-    """Solvability class of x^2 == -1 modulo f.n, with the odd-part omega."""
-    two_exp = 0
-    omega = 0
-    for p, e in f.factors:
-        if p == 2:
-            two_exp = e
-        elif p % 4 == 3:
-            return Classification(CongruenceClass.NO_SOLUTIONS, 0)
-        else:
-            omega += 1
-    if two_exp >= 2:
-        return Classification(CongruenceClass.NO_SOLUTIONS, 0)
-    if two_exp == 1:
-        return Classification(CongruenceClass.TWICE_ODD, omega)
-    return Classification(CongruenceClass.ODD, omega)
-
-
 def count_sqrt_minus_one(q: int | Factorization) -> int:
-    """Number of p in [1, q) with p*p == -1 (mod q); returns 1 for q = 1."""
-    c = classify(q if isinstance(q, Factorization) else factorize(q))
-    if c.kind is CongruenceClass.NO_SOLUTIONS:
-        return 0
-    return 1 << c.omega
+    """Number of p in [1, q) with p*p == -1 (mod q), 1 for q = 1: read off
+    the factorization by the rule in the module docstring."""
+    f = q if isinstance(q, Factorization) else factorize(q)
+    count = 1
+    for p, e in f.factors:
+        if p % 4 == 3 or (p == 2 and e > 1):
+            return 0
+        if p % 4 == 1:
+            count *= 2
+    return count
 
 
 def sqrt_minus_one_mod_prime(p: int) -> tuple[int, int]:
@@ -320,8 +294,7 @@ def sqrt_minus_one_crt(q: int | Factorization) -> list[int]:
     solutions and q < 2.
     """
     f = q if isinstance(q, Factorization) else factorize(q)
-    c = classify(f)
-    if c.kind is CongruenceClass.NO_SOLUTIONS:
+    if not count_sqrt_minus_one(f):
         raise ValueError(f"x^2 == -1 (mod {f.n}) has no solutions")
     if f.n < 2:
         raise ValueError("q must be at least 2")

@@ -211,8 +211,10 @@ def trace_sojourn(
     if span == math.inf:
         raise ValueError(f"t0 = {t0} with q = {q} is too large: the ratio of the start "
                          f"height to the exit height overflows a float")
-    samples = math.ceil(math.log(span) / step) + 1
-    _check_budget(samples * _SAMPLE_BYTES, f"{samples} samples")
+    # np.ceil keeps the inf count of a subnormal step for the budget to refuse
+    samples = np.ceil(math.log(span) / step) + 1
+    _check_budget(samples * _SAMPLE_BYTES, f"{samples:.0f} samples")
+    samples = int(samples)
     # built in place, without the full-size temporaries of the expressions
     # t = arange*step, y = y_start*exp(-t), z = w + 1j*y (same values)
     t = np.arange(samples, dtype=np.float64)

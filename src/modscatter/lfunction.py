@@ -40,8 +40,8 @@ def _require_zeta_s(s: float) -> None:
 
 
 def _require_tail_s(s: float) -> None:
-    if s <= 1.5:
-        raise ValueError("the tail estimate requires s > 1.5")
+    if not s > 1.5:  # NaN fails
+        raise ValueError(f"the tail estimate requires s > 1.5, got {s}")
 
 
 def riemann_zeta(s: float) -> tuple[float, float]:
@@ -71,8 +71,8 @@ def dirichlet_beta(s: float) -> float:
 def _beta_and_gap(s: float) -> tuple[float, float]:
     """beta(s) and a self-estimate of its averaging error, the gap between
     the last two stages, from one pass."""
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not s > 0:  # NaN fails
+        raise ValueError(f"s must be positive, got {s}")
     k = np.arange(_BETA_TERMS, dtype=np.float64)
     partial = np.cumsum((-1.0) ** k * (2.0 * k + 1.0) ** (-s))
     prev = partial
@@ -112,8 +112,7 @@ def series_by_euler_product(s: float, p_max: int) -> SeriesValue:
     up to p_max; empty products are 1.  The primes are read from the shared
     prime table, so a p_max whose sieve would pass the byte budget is
     refused with arith.MemoryBudgetExceeded before anything is allocated."""
-    if s <= 1:
-        raise ValueError("s must exceed 1")
+    _require_zeta_s(s)
     primes = arith._small_primes(p_max)
     primes = primes[(primes & 3) == 1]
     if primes.size == 0:
@@ -126,9 +125,8 @@ def series_by_euler_product(s: float, p_max: int) -> SeriesValue:
 
 
 def series_by_zeta_identity(s: float) -> SeriesValue:
-    """zeta(s)*beta(s)/((1 + 2^-s)*zeta(2s)) with a combined error estimate."""
-    if s <= 1:
-        raise ValueError("s must exceed 1")
+    """zeta(s)*beta(s)/((1 + 2^-s)*zeta(2s)) with a combined error estimate;
+    riemann_zeta(s) refuses what the identity cannot take."""
     z1, e1 = riemann_zeta(s)
     z2, e2 = riemann_zeta(2 * s)
     beta, eb = _beta_and_gap(s)

@@ -10,7 +10,7 @@ _SCAN_CHUNK = 1 << 22
 def sqrt_minus_one_brute(q: int) -> list[int]:
     """Exhaustive-scan oracle: all p in [1, q) with p*p + 1 == 0 (mod q), sorted.
 
-    Definitional and independent of the classification in modscatter.arith.
+    Definitional and independent of the factorization rule in modscatter.arith.
     Returns [] for q = 1 (the count convention there is handled by the
     caller).  A chunked int64 scan; refuses q above _INT64_ROOT, where
     (q-1)**2 would wrap.

@@ -8,8 +8,6 @@ import pytest
 
 from modscatter import arith, lfunction
 from modscatter.arith import (
-    CongruenceClass,
-    classify,
     count_sqrt_minus_one,
     factorize,
     hensel_lift,
@@ -236,15 +234,10 @@ def test_trial_primes_are_built_lazily():
     assert 2 <= after_seven < 100
 
 
-def test_classify_golden():
-    assert classify(factorize(7)).kind is CongruenceClass.NO_SOLUTIONS
-    assert classify(factorize(1)) == arith.Classification(CongruenceClass.ODD, 0)
-    assert classify(factorize(130)) == arith.Classification(CongruenceClass.TWICE_ODD, 2)
-    assert classify(factorize(12)).kind is CongruenceClass.NO_SOLUTIONS
-    assert classify(factorize(2)) == arith.Classification(CongruenceClass.TWICE_ODD, 0)
-    assert classify(factorize(65)) == arith.Classification(CongruenceClass.ODD, 2)
-    # even modulus with a 3 (mod 4) factor is still unsolvable
-    assert classify(factorize(6)).kind is CongruenceClass.NO_SOLUTIONS
+def test_root_count_golden():
+    # 0 for a prime factor 3 (mod 4) or 4 | q, else 2 per prime 1 (mod 4)
+    for q, count in ((7, 0), (1, 1), (130, 4), (12, 0), (2, 1), (65, 4), (6, 0)):
+        assert count_sqrt_minus_one(factorize(q)) == count
 
 
 def test_count_golden():

@@ -918,3 +918,15 @@ def test_trace_over_the_sample_budget_refused(capsys, monkeypatch, tmp_path):
         hyperbolic.trace_sojourn(Fraction(12345, 99991), 3.0, step=span / (most - 1.5))
     with pytest.raises(cli.arith.MemoryBudgetExceeded):
         hyperbolic.trace_sojourn(Fraction(12345, 99991), 3.0, step=span / (most + 0.5))
+
+
+@pytest.mark.parametrize("step", ["5e-324", "1e-310"])
+def test_trace_subnormal_step_refused(capsys, monkeypatch, tmp_path, step):
+    def alloc(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "arange", alloc)
+    # log(span)/step overflows to an infinite sample count
+    _refused_before_work(capsys, tmp_path, ["trace", "1/3", "--step", step], 4, "budget")
+    with pytest.raises(cli.arith.MemoryBudgetExceeded):
+        hyperbolic.trace_sojourn(Fraction(1, 3), 2.0, step=float(step))

@@ -168,6 +168,13 @@ def test_preconditions():
         dirichlet_beta(0.0)
 
 
+def test_series_refuse_nan():
+    for route in (lambda s: series_by_sum(s, 100), lambda s: series_by_euler_product(s, 100),
+                  series_by_zeta_identity, dirichlet_beta):
+        with pytest.raises(ValueError):
+            route(math.nan)
+
+
 def test_residue_matches_empirical_slope(table_1e7):
     # the constant is the limiting density of the odd-modulus root count
     from modscatter.counting import odd_modulus_roots
