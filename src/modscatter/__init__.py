@@ -13,7 +13,6 @@ from .arith import (
     MemoryBudgetExceeded,
     count_sqrt_minus_one,
     factorize,
-    hensel_lift,
     sqrt_minus_one_crt,
     sqrt_minus_one_mod_prime,
 )

@@ -263,56 +263,33 @@ def sqrt_minus_one_mod_prime(p: int) -> tuple[int, int]:
     return (x, p - x) if x < p - x else (p - x, x)
 
 
-def hensel_lift(x0: int, p: int, j: int) -> int:
-    """Lift a root of x^2 == -1 (mod p**j) to the unique root mod p**(j+1)
-    congruent to x0 (mod p**j).
-
-    Writes x1 = x0 + p**j * y0 where y0 solves
-    2*x0*y0 == -(x0**2 + 1)/p**j (mod p), which is uniquely solvable since
-    gcd(2*x0, p) = 1 for odd p.
-    """
-    if j < 1:
-        raise ValueError("j must be at least 1")
-    pj = p**j
-    x0 %= pj
-    if (x0 * x0 + 1) % pj != 0:
-        raise ValueError(f"{x0}^2 + 1 is not divisible by {p}^{j}")
-    t = (x0 * x0 + 1) // pj
-    y0 = (-t * pow(2 * x0 % p, -1, p)) % p
-    x1 = x0 + pj * y0
-    assert (x1 * x1 + 1) % (pj * p) == 0
-    return x1
-
-
 def sqrt_minus_one_crt(q: int | Factorization) -> list[int]:
-    """All solutions of x^2 == -1 (mod q) assembled from prime-power roots.
+    """All solutions of x^2 == -1 (mod q), sorted, from the prime-power roots.
 
-    Each odd prime power contributes a pair {r, p**e - r} (base root lifted
-    through the exponent); a single factor of 2 pins the residue 1 mod 2.
-    Sign choices are combined by the Chinese Remainder Theorem in
-    lexicographic order and the result is sorted.  Rejects moduli with no
-    solutions and q < 2.
+    An odd prime power p**e contributes the pair {r, p**e - r}, with
+    r = x**(p**(e-1)) mod p**e for the smaller root x mod p: x**2 = -1 + kp
+    and (-1 + kp)**(p**(e-1)) == -1 (mod p**e) for odd p, while Fermat keeps
+    r == x (mod p), so r is the root that lifting x one power at a time
+    reaches.  A single factor of 2 pins the residue 1 mod 2.  Each solution
+    is sum(r_i * c_i) mod q over one CRT basis, c_i = (q/m_i) * ((q/m_i)^-1
+    mod m_i) for the prime powers m_i.  Rejects moduli with no solutions and
+    q < 2.
     """
     f = q if isinstance(q, Factorization) else factorize(q)
     if not count_sqrt_minus_one(f):
         raise ValueError(f"x^2 == -1 (mod {f.n}) has no solutions")
     if f.n < 2:
         raise ValueError("q must be at least 2")
-    systems: list[tuple[int, tuple[int, ...]]] = []
+    pairs: list[tuple[int, ...]] = []
     for p, e in f.factors:
+        m = p**e
+        c = f.n // m
+        c *= pow(c, -1, m)
         if p == 2:
-            systems.append((2, (1,)))
-        else:
-            r = sqrt_minus_one_mod_prime(p)[0]
-            for j in range(1, e):
-                r = hensel_lift(r, p, j)
-            pe = p**e
-            systems.append((pe, (r, pe - r)))
-    sols = []
-    for combo in itertools.product(*(roots for _, roots in systems)):
-        x, m = 0, 1
-        for (mod_i, _), r_i in zip(systems, combo):
-            x += m * ((r_i - x) * pow(m, -1, mod_i) % mod_i)
-            m *= mod_i
-        sols.append(x)
-    return sorted(sols)
+            pairs.append((c,))
+            continue
+        r = pow(sqrt_minus_one_mod_prime(p)[0], p ** (e - 1), m)
+        if (r * r + 1) % m:
+            raise ArithmeticError(f"the lifted root {r} does not square to -1 mod {p}^{e}")
+        pairs.append((r * c, (m - r) * c))
+    return sorted(sum(combo) % f.n for combo in itertools.product(*pairs))

@@ -244,17 +244,14 @@ def _cmd_count(args) -> None:
     if kind == "pi":
         if args.Y is None:
             raise ValueError("kind 'pi' needs --Y")
-        if args.points <= 1:
-            ys = [args.Y]
-        else:
-            lo = min(4.0 * args.t0 * args.t0, args.Y)
-            ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
+        lo = args.Y if args.points <= 1 else min(4.0 * args.t0 * args.t0, args.Y)
         # the law grows with Y (and leaves the float range only with t0)
-        for y in (ys[0], ys[-1]):
+        for y in (lo, args.Y):
             law = counting.main_term(kind, y, args.t0)
             if not 0 < law < math.inf:
                 raise ValueError(f"the first-order law of pi is {law} at Y = {y} with "
                                  f"t0 = {args.t0}, not positive and finite as a float")
+        ys = [float(v) for v in np.geomspace(lo, args.Y, args.points)]
         # k >= int(sqrt(Y)/t0) - 1, refused before the walk (which stops at 2^52)
         _check_cap(int(math.sqrt(ys[-1]) / args.t0) - 1, args, "sojourn threshold at least")
         thresholds = {y: counting.sojourn_threshold(y, args.t0) for y in ys}

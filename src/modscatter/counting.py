@@ -2,8 +2,8 @@
 scattering family, with their first-order growth laws.
 
 A single smallest-prime pass per segment produces, for every q up to the
-limit, the totient phi(q) and the solution count of x^2 == -1 (mod q)
-(classified through the odd part of q).  Two prefix sums then give
+limit, the totient phi(q) and the solution count of x^2 == -1 (mod q).  Two
+prefix sums then give
 
   odd share     t(x)  = sum_{q <= x, q odd} roots(q)      ~ x/pi
   members       M(x)  = sum_{q <= x} (phi(q)+roots(q))/2  ~ 3x^2/(2*pi^2)
@@ -23,8 +23,8 @@ count of all such points of norm <= y,
 
 with R(y) by the Dirichlet hyperbola method.  T and Phi run the same table
 recursion (Deleglise-Rivat for Phi) on the root and totient prefix sums of
-one sieved table: about x^(2/3) entries when Phi is needed, a few sqrt(x)
-when only T is.
+one count table, T(n) = t(n) + t(floor(n/2)) and Phi(n) = 2*M(n) - T(n):
+about x^(2/3) entries when Phi is needed, a few sqrt(x) when only T is.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ def _phi_roots_segment(lo: int, hi: int, primes: np.ndarray):
     n = 0, or one prime above the last sieving prime; phi = f * (r - 1)
     when r > 1, else f * r.  The root count starts at 1 and doubles per
     prime == 1 (mod 4); a prime == 3 (mod 4) or a factor 4 zeroes it, all
-    _SLICE entries at a time.  The callers stay below 2**32: checkpoint_sums
-    refuses points past _INT64_ROOT and the sublinear table stops below
-    _POINT_TABLE.
+    _SLICE entries at a time.  The one caller, _carried_segments, stays below
+    2**32: checkpoint_sums refuses points past _INT64_ROOT and sieve_tables
+    limits past the byte budget.
     """
     n = hi - lo
     f = np.ones(n, dtype=np.uint32)
@@ -308,9 +308,10 @@ def sublinear_sums(points: Iterable[int], kinds: Iterable[str] = Sums._fields) -
     """The Sums at each x, without sieving to the largest point, with only
     the fields named in kinds filled (the others None).
 
-    One table serves every point: the root (and, for psi, the phi) prefix
-    sums, sieved up to b = _table_size(max(points), kinds).  A point or
-    halving up to b is read off them; only those above b run a recursion.
+    One count table serves every point: sieve_tables to
+    b = _table_size(max(points), kinds), whose prefix sums give the root
+    (and, for psi, the phi) prefix sums.  A point or halving up to b is
+    read off them; only those above b run a recursion.
     S runs the root-sum recursion at x, tau runs it at every halving
     x >> j, and psi runs it at x and the totient recursion at x, in about
     x^(2/3) time.  Without psi the table is a few sqrt(max(points)) entries
@@ -324,12 +325,15 @@ def sublinear_sums(points: Iterable[int], kinds: Iterable[str] = Sums._fields) -
     top = want[-1]
     if top > _POINT_SUMS_MAX:
         raise ValueError(f"x = {top} exceeds {_POINT_SUMS_MAX}, the exact range of sublinear_sums")
-    b = _table_size(top, kinds)
-    phi, roots = _phi_roots_segment(0, b + 1, _small_primes(math.isqrt(b)))
+    table = sieve_tables(max(_table_size(top, kinds), 1))  # sieve_tables(0) refuses
+    odd = table.odd_roots_cum
+    roots_cum = np.repeat(odd[: odd.size // 2 + 1], 2)[: odd.size]
+    roots_cum += odd  # T(n) = t(n // 2) + t(n) < 2**32, see CountTable
     if "psi" in kinds:
-        phi_cum = np.cumsum(phi, dtype=np.int64)
-    del phi
-    roots_cum = np.cumsum(roots, dtype=np.uint32)  # T(b) < 2**32, see CountTable
+        phi_cum = table.members_cum  # Phi(n) = 2*M(n) - T(n), in place
+        phi_cum *= 2
+        phi_cum -= roots_cum
+    del table, odd  # the recursions hold only the prefix sums they read
     totals: dict[int, int] = {}  # T(v), shared by the points
 
     def total(v: int) -> int:

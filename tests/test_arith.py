@@ -10,7 +10,6 @@ from modscatter import arith, lfunction
 from modscatter.arith import (
     count_sqrt_minus_one,
     factorize,
-    hensel_lift,
     sqrt_minus_one_crt,
     sqrt_minus_one_mod_prime,
 )
@@ -303,33 +302,6 @@ def test_sqrt_mod_prime_verifies():
         assert x < y
 
 
-def test_hensel_golden():
-    assert hensel_lift(2, 5, 1) == 7
-    assert hensel_lift(7, 5, 2) == 57
-    assert hensel_lift(5, 13, 1) == 70
-
-
-def test_hensel_rejects_nonroot():
-    with pytest.raises(ValueError):
-        hensel_lift(4, 5, 1)  # 17 is not divisible by 5
-    with pytest.raises(ValueError):
-        hensel_lift(7, 5, 3)  # 50 is not divisible by 125
-
-
-def test_hensel_random_chains():
-    # lift a base root through powers and confirm the defining congruence
-    rng = random.Random(20240814)
-    primes = [p for p in range(5, 10_000, 4) if arith.is_prime(p)]
-    for _ in range(200):
-        p = rng.choice(primes)
-        x = sqrt_minus_one_mod_prime(p)[0]
-        j = 1
-        while j <= 8 and p ** (j + 1) < 2**63:
-            x = hensel_lift(x, p, j)
-            j += 1
-            assert (x * x + 1) % p**j == 0
-
-
 def test_crt_golden():
     assert sqrt_minus_one_crt(65) == [8, 18, 47, 57]
     assert sqrt_minus_one_crt(10) == [3, 7]
@@ -354,3 +326,21 @@ def test_crt_matches_brute():
 def test_crt_prime_powers():
     for q in (25, 125, 169, 2 * 5**4, 5**7, 13**4):
         assert sqrt_minus_one_crt(q) == sqrt_minus_one_brute(q)
+    # past the brute scan, up to 2**63: each root's defining congruences
+    big = next(p for p in range(3 * 10**9 + 1, 4 * 10**9, 4) if arith.is_prime(p))
+    omega_11 = 1  # the primes == 1 (mod 4) in order, while their product stays below 2**63
+    for p in filter(arith.is_prime, range(5, 1000, 4)):
+        if omega_11 * p >= 2**63:
+            break
+        omega_11 *= p
+    assert len(factorize(omega_11).factors) == 11
+    for q in (5**27, 13**17, 2 * 5**26, big * big, omega_11):
+        assert q < 2**63
+        factors = factorize(q).factors
+        roots = sqrt_minus_one_crt(q)
+        assert len(roots) == 2 ** sum(p != 2 for p, _ in factors)
+        assert roots == sorted(set(roots))
+        assert all(0 < r < q and (r * r + 1) % q == 0 for r in roots)
+        for p, _ in factors:
+            mod_p = {1} if p == 2 else set(sqrt_minus_one_mod_prime(p))
+            assert {r % p for r in roots} <= mod_p

@@ -696,6 +696,8 @@ def test_count_x_below_one_refused(capsys, monkeypatch, tmp_path, kind, x):
     ["--Y", "0"],
     ["--Y", "-3"],
     ["--Y", "5e-324"],  # the law 3Y/(2 (pi t0)^2) underflows to 0
+    ["--Y", "0", "--points", "5"],  # refused before np.geomspace sees the 0
+    ["--Y", "-0.0", "--points", "3"],
 ])
 def test_count_pi_without_a_positive_law_refused(capsys, monkeypatch, tmp_path, argv):
     def work(*args, **kwargs):

@@ -391,6 +391,38 @@ def test_shared_tables_match_sieve(top, points):
     assert sublinear_sums([]) == {}
 
 
+@pytest.mark.parametrize("kinds", [("S",), ("tau",), ("psi",), Sums._fields], ids="+".join)
+def test_sublinear_table_is_one_sieve_tables(monkeypatch, kinds):
+    # one count table a call, built by the streamed builder every other count
+    # table goes through, and read at both sides of its end b
+    x = 10**6
+    b = counting._table_size(x, kinds)
+    pts = [0, 1, b, b + 1, x]
+    expect = {v: Sums(**{k: getattr(s, k) for k in kinds})
+              for v, s in checkpoint_sums(pts).items()}
+    calls, inside = [], []
+
+    def tables(limit, fn=counting.sieve_tables):
+        calls.append(limit)
+        inside.append(True)
+        try:
+            return fn(limit)
+        finally:
+            inside.pop()
+
+    def segment(*args, fn=counting._phi_roots_segment):
+        assert inside, "sieved outside sieve_tables"
+        return fn(*args)
+
+    monkeypatch.setattr(counting, "sieve_tables", tables)
+    monkeypatch.setattr(counting, "_phi_roots_segment", segment)
+    assert sublinear_sums(pts, kinds) == expect
+    assert calls == [b]
+    calls.clear()
+    assert sublinear_sums([0], kinds) == {0: Sums(**{k: 0 for k in kinds})}
+    assert calls == [1]  # b is 0 at x = 0, and sieve_tables(0) refuses
+
+
 def _roots_cum(n):
     """T(0..n) as the prefix sums of the segment sieve's root counts."""
     _, roots = counting._phi_roots_segment(0, n + 1, counting._small_primes(math.isqrt(n)))
